@@ -1,8 +1,13 @@
-// Gradient checks and branch-semantics tests for the ResNeXt-style grouped
-// convolution under slicing.
+// Gradient checks and branch-semantics tests for grouped convolution
+// (Conv2d with conv_groups > 1: ResNeXt-style branches and depthwise) under
+// slicing, plus the batch-invariance contract of the one conv layer.
+#include <cstring>
+#include <memory>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "src/nn/conv2d.h"
-#include "src/nn/grouped_conv.h"
+#include "src/tensor/gemm.h"
 #include "tests/gradcheck_util.h"
 
 namespace ms {
@@ -13,13 +18,14 @@ class GroupedConvGradCheck : public ::testing::TestWithParam<double> {};
 TEST_P(GroupedConvGradCheck, Gradients) {
   const double rate = GetParam();
   Rng rng(41);
-  GroupedConv2dOptions opts;
+  Conv2dOptions opts;
   opts.in_channels = 8;
   opts.out_channels = 8;
   opts.kernel = 3;
   opts.pad = 1;
   opts.groups = 4;
-  GroupedConv2d layer(opts, &rng);
+  opts.conv_groups = 4;
+  Conv2d layer(opts, &rng);
   layer.SetSliceRate(rate);
   Tensor x = Tensor::Randn({2, layer.active_in(), 5, 5}, &rng);
   testing_util::CheckModuleGradients(&layer, x, 401);
@@ -31,13 +37,14 @@ INSTANTIATE_TEST_SUITE_P(Rates, GroupedConvGradCheck,
 TEST(GroupedConv, BranchesAreIndependent) {
   // Zeroing the input of branch 1 must not change branch 0's output.
   Rng rng(42);
-  GroupedConv2dOptions opts;
+  Conv2dOptions opts;
   opts.in_channels = 4;
   opts.out_channels = 4;
   opts.kernel = 3;
   opts.pad = 1;
   opts.groups = 2;
-  GroupedConv2d layer(opts, &rng);
+  opts.conv_groups = 2;
+  Conv2d layer(opts, &rng);
   Tensor x = Tensor::Randn({1, 4, 4, 4}, &rng);
   Tensor y_full = layer.Forward(x, false);
   Tensor x_masked = x;
@@ -50,11 +57,12 @@ TEST(GroupedConv, BranchesAreIndependent) {
 
 TEST(GroupedConv, CostScalesLinearlyInActiveBranches) {
   Rng rng(43);
-  GroupedConv2dOptions opts;
+  Conv2dOptions opts;
   opts.in_channels = 16;
   opts.out_channels = 16;
   opts.groups = 4;
-  GroupedConv2d layer(opts, &rng);
+  opts.conv_groups = 4;
+  Conv2d layer(opts, &rng);
   layer.SetSliceRate(1.0);
   Tensor x = Tensor::Randn({1, 16, 4, 4}, &rng);
   layer.Forward(x, false);
@@ -65,51 +73,166 @@ TEST(GroupedConv, CostScalesLinearlyInActiveBranches) {
   EXPECT_EQ(layer.FlopsPerSample() * 2, full);
 }
 
-TEST(GroupedConv, OneGroupEqualsDenseConv) {
-  // groups=1 must match a plain Conv2d with the same weights.
-  Rng rng(44);
-  GroupedConv2dOptions gopts;
-  gopts.in_channels = 3;
-  gopts.out_channels = 5;
-  gopts.kernel = 3;
-  gopts.pad = 1;
-  gopts.groups = 1;
-  GroupedConv2d grouped(gopts, &rng);
+// Restores the global thread count / fusion toggle on scope exit so a
+// failing ASSERT cannot leak state into later tests.
+struct GlobalStateGuard {
+  int threads = ops::ComputeThreads();
+  ~GlobalStateGuard() {
+    ops::SetComputeThreads(threads);
+    ops::SetFuseEpilogues(true);
+  }
+};
 
-  Rng rng2(45);
-  Conv2dOptions copts;
-  copts.in_channels = 3;
-  copts.out_channels = 5;
-  copts.kernel = 3;
-  copts.pad = 1;
-  copts.slice_in = false;
-  copts.slice_out = false;
-  Conv2d plain(copts, &rng2);
-  // Copy grouped weights into the plain conv (identical layouts for g=1).
-  std::vector<ParamRef> gp, pp;
-  grouped.CollectParams(&gp);
-  plain.CollectParams(&pp);
-  ASSERT_EQ(gp[0].param->size(), pp[0].param->size());
-  for (int64_t i = 0; i < gp[0].param->size(); ++i) {
-    (*pp[0].param)[i] = (*gp[0].param)[i];
+// Channels [c0, c0 + c) of every image of an NCHW tensor.
+Tensor ChannelBlock(const Tensor& x, int64_t c0, int64_t c) {
+  const int64_t batch = x.dim(0), ch = x.dim(1);
+  const int64_t plane = x.dim(2) * x.dim(3);
+  Tensor out({batch, c, x.dim(2), x.dim(3)});
+  for (int64_t b = 0; b < batch; ++b) {
+    std::memcpy(out.data() + b * c * plane, x.data() + (b * ch + c0) * plane,
+                static_cast<size_t>(c * plane) * sizeof(float));
+  }
+  return out;
+}
+
+bool Bitwise(const float* a, const float* b, int64_t n) {
+  return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+}
+
+// conv_groups = G computes exactly what G independent dense convs compute
+// on the channel blocks (block-diagonal weight), bitwise in fp32 and int8,
+// fused and unfused, at every slice rate.
+TEST(GroupedConv, EqualsIndependentDenseConvsPerBlock) {
+  GlobalStateGuard guard;
+  constexpr int64_t kGroups = 4, kInPg = 2, kOutPg = 3;
+  Rng rng(44);
+  Conv2dOptions opts;
+  opts.in_channels = kGroups * kInPg;
+  opts.out_channels = kGroups * kOutPg;
+  opts.groups = kGroups;
+  opts.conv_groups = kGroups;
+  opts.bias = true;
+  Conv2d grouped(opts, &rng);
+  grouped.SetFusedActivation(ops::EpiAct::kRelu);
+  for (int64_t i = 0; i < grouped.bias().size(); ++i) {
+    (*grouped.mutable_bias())[i] = 0.1f * static_cast<float>(i) - 0.5f;
   }
 
-  Tensor x = Tensor::Randn({2, 3, 6, 6}, &rng);
-  Tensor yg = grouped.Forward(x, false);
-  Tensor yp = plain.Forward(x, false);
-  ASSERT_TRUE(yg.SameShape(yp));
-  for (int64_t i = 0; i < yg.size(); ++i) {
-    EXPECT_NEAR(yg[i], yp[i], 1e-5f);
+  std::vector<std::unique_ptr<Conv2d>> dense;
+  Conv2dOptions dopts = opts;
+  dopts.in_channels = kInPg;
+  dopts.out_channels = kOutPg;
+  dopts.groups = 1;
+  dopts.conv_groups = 1;
+  const int64_t row = kInPg * 9;
+  for (int64_t g = 0; g < kGroups; ++g) {
+    Rng drng(100 + static_cast<uint64_t>(g));
+    dense.push_back(std::make_unique<Conv2d>(dopts, &drng));
+    dense.back()->SetFusedActivation(ops::EpiAct::kRelu);
+    std::memcpy(dense.back()->mutable_weight()->data(),
+                grouped.weight().data() + g * kOutPg * row,
+                static_cast<size_t>(kOutPg * row) * sizeof(float));
+    for (int64_t c = 0; c < kOutPg; ++c) {
+      (*dense.back()->mutable_bias())[c] = grouped.bias()[g * kOutPg + c];
+    }
+  }
+
+  Tensor x_full = Tensor::Randn({3, opts.in_channels, 6, 6}, &rng);
+  for (Precision p : {Precision::kFp32, Precision::kInt8}) {
+    grouped.SetPrecision(p);
+    for (auto& d : dense) d->SetPrecision(p);
+    for (bool fuse : {true, false}) {
+      ops::SetFuseEpilogues(fuse);
+      for (double r : {0.25, 0.5, 1.0}) {
+        grouped.SetSliceRate(r);
+        const int64_t active = grouped.active_in() / kInPg;
+        Tensor x = ChannelBlock(x_full, 0, grouped.active_in());
+        Tensor y = grouped.Forward(x, false);
+        for (int64_t g = 0; g < active; ++g) {
+          Tensor yg = dense[static_cast<size_t>(g)]->Forward(
+              ChannelBlock(x, g * kInPg, kInPg), false);
+          Tensor ref = ChannelBlock(y, g * kOutPg, kOutPg);
+          EXPECT_TRUE(Bitwise(ref.data(), yg.data(), yg.size()))
+              << "group " << g << " r=" << r << " fuse=" << fuse
+              << " precision=" << PrecisionName(p);
+        }
+      }
+    }
+  }
+}
+
+// Batch invariance: row i of Forward(batch) is bitwise Forward(x[i]) for
+// dense, grouped and depthwise convs at every rate, precision, thread count
+// and fusion setting.
+TEST(ConvContract, BatchInvariant) {
+  GlobalStateGuard guard;
+  constexpr int64_t kChannels = 8, kBatch = 5, kHw = 6;
+  for (int64_t cg : {int64_t{1}, int64_t{4}, kChannels}) {
+    Rng rng(45 + static_cast<uint64_t>(cg));
+    Conv2dOptions opts;
+    opts.in_channels = kChannels;
+    opts.out_channels = kChannels;
+    opts.groups = 4;
+    opts.conv_groups = cg;
+    opts.bias = cg != kChannels;  // the depthwise kernel takes no bias
+    Conv2d conv(opts, &rng);
+    conv.SetFusedActivation(ops::EpiAct::kRelu);
+    if (opts.bias) {
+      for (int64_t i = 0; i < kChannels; ++i) {
+        (*conv.mutable_bias())[i] = 0.05f * static_cast<float>(i) - 0.2f;
+      }
+    }
+    for (Precision p : {Precision::kFp32, Precision::kInt8}) {
+      conv.SetPrecision(p);
+      for (int threads : {1, 4}) {
+        ops::SetComputeThreads(threads);
+        for (bool fuse : {true, false}) {
+          ops::SetFuseEpilogues(fuse);
+          for (double r : {0.25, 0.5, 1.0}) {
+            conv.SetSliceRate(r);
+            const int64_t m = conv.active_in();
+            Tensor x = Tensor::Randn({kBatch, m, kHw, kHw}, &rng);
+            Tensor y = conv.Forward(x, false);
+            const int64_t in_row = m * kHw * kHw;
+            const int64_t out_row = y.size() / kBatch;
+            for (int64_t i = 0; i < kBatch; ++i) {
+              Tensor xi({1, m, kHw, kHw});
+              std::memcpy(xi.data(), x.data() + i * in_row,
+                          static_cast<size_t>(in_row) * sizeof(float));
+              Tensor yi = conv.Forward(xi, false);
+              ASSERT_EQ(yi.size(), out_row);
+              EXPECT_TRUE(Bitwise(y.data() + i * out_row, yi.data(), out_row))
+                  << "conv_groups=" << cg << " row " << i << " r=" << r
+                  << " threads=" << threads << " fuse=" << fuse
+                  << " precision=" << PrecisionName(p);
+            }
+          }
+        }
+      }
+    }
   }
 }
 
 TEST(GroupedConvDeathTest, RejectsIndivisibleChannels) {
   Rng rng(46);
-  GroupedConv2dOptions opts;
+  Conv2dOptions opts;
   opts.in_channels = 6;
   opts.out_channels = 8;
-  opts.groups = 4;  // 6 % 4 != 0
-  EXPECT_DEATH(GroupedConv2d layer(opts, &rng), "divide by groups");
+  opts.conv_groups = 4;  // 6 % 4 != 0
+  EXPECT_DEATH(Conv2d layer(opts, &rng), "divide by groups");
+}
+
+TEST(GroupedConvDeathTest, RejectsSlicingGroupsInsideBranches) {
+  Rng rng(47);
+  Conv2dOptions opts;
+  opts.in_channels = 8;
+  opts.out_channels = 8;
+  opts.groups = 4;        // slicing boundaries every 2 channels ...
+  opts.conv_groups = 2;   // ... but branches are 4 wide
+  EXPECT_DEATH(Conv2d layer(opts, &rng), "conv-group boundaries");
+  opts.groups = 2;
+  opts.slice_out = false;
+  EXPECT_DEATH(Conv2d layer(opts, &rng), "slice_in == slice_out");
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Death tests: internal invariant violations must abort loudly via MS_CHECK
 // rather than corrupt memory — shape mismatches between slices are the most
 // dangerous class of bug in a width-dynamic library.
+#include <string>
+
 #include "gtest/gtest.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
@@ -47,6 +49,28 @@ TEST(InvariantsDeathTest, ConvRejectsWrongChannelCount) {
   layer.SetSliceRate(0.5);
   Tensor x = Tensor::Randn({1, 8, 4, 4}, &rng);
   EXPECT_DEATH(layer.Forward(x, false), "active_in");
+}
+
+TEST(InvariantsDeathTest, ConvBackwardRejectsShortGradBatch) {
+  // Dense, grouped and depthwise convs all check grad_out's batch against
+  // the cached forward batch; a shorter grad_out would be read past its end.
+  // The forward below starts the compute pool, whose threads a forked
+  // death-test child would not have: re-exec the child instead.
+  const std::string style = ::testing::FLAGS_gtest_death_test_style;
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (int64_t cg : {1, 4, 8}) {
+    Rng rng(5);
+    Conv2dOptions opts;
+    opts.in_channels = 8;
+    opts.out_channels = 8;
+    opts.groups = 4;
+    opts.conv_groups = cg;
+    Conv2d layer(opts, &rng);
+    layer.Forward(Tensor::Randn({4, 8, 4, 4}, &rng), /*training=*/true);
+    Tensor g = Tensor::Randn({2, 8, 4, 4}, &rng);
+    EXPECT_DEATH(layer.Backward(g), "MS_CHECK failed") << "conv_groups=" << cg;
+  }
+  ::testing::FLAGS_gtest_death_test_style = style;
 }
 
 TEST(InvariantsDeathTest, GroupNormRejectsWrongPrefix) {

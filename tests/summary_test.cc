@@ -1,4 +1,6 @@
 // Tests for the model-summary walker and formatter.
+#include <string>
+
 #include "gtest/gtest.h"
 #include "src/models/cnn.h"
 #include "src/nn/summary.h"
@@ -57,6 +59,34 @@ TEST(Summary, RecursesIntoResidualBlocks) {
   }
   EXPECT_TRUE(saw_residual);
   EXPECT_TRUE(saw_nested_conv);
+}
+
+TEST(Summary, ConvKindsFollowConvGroups) {
+  // The kind is derived from the conv's shape: ResNeXt branches are
+  // "gconv", MobileNet's per-channel filters "dwconv", the rest "conv2d".
+  Tensor sample({1, 3, 8, 8});
+  auto count = [](const ModelSummary& s, const std::string& kind) {
+    int64_t n = 0;
+    for (const auto& l : s.layers) n += l.kind == kind ? 1 : 0;
+    return n;
+  };
+  CnnConfig wide = SmallCfg();
+  wide.base_width = 16;  // branches 2 and 4 channels wide
+  auto next = MakeResNeXtSmall(wide).MoveValueOrDie();
+  const ModelSummary ns = Summarize(next.get(), sample, 0.5);
+  EXPECT_EQ(count(ns, "gconv"), 2);  // one per block
+  EXPECT_EQ(count(ns, "dwconv"), 0);
+  EXPECT_GT(count(ns, "conv2d"), 0);
+  // Branches one channel wide are depthwise by shape (stage 0 of SmallCfg).
+  auto narrow = MakeResNeXtSmall(SmallCfg()).MoveValueOrDie();
+  const ModelSummary nn = Summarize(narrow.get(), sample, 0.5);
+  EXPECT_EQ(count(nn, "gconv"), 1);
+  EXPECT_EQ(count(nn, "dwconv"), 1);
+  auto mobile = MakeMobileNetSmall(SmallCfg()).MoveValueOrDie();
+  const ModelSummary ms = Summarize(mobile.get(), sample, 0.5);
+  EXPECT_EQ(count(ms, "dwconv"), 2);  // one per block
+  EXPECT_EQ(count(ms, "gconv"), 0);
+  EXPECT_GT(count(ms, "conv2d"), 0);
 }
 
 TEST(Summary, FormatContainsLayersAndTotal) {
