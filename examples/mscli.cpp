@@ -294,12 +294,15 @@ int Summary(const Flags& flags) {
   loaded.net->SetPrecision(precision);
   Tensor sample({1, loaded.split.test.channels, loaded.split.test.height,
                  loaded.split.test.width});
-  // Summarize under a profiler session so the table gains measured
-  // per-layer forward times.
+  const double rate = flags.GetDouble("rate", 1.0);
+  // One untimed warm-up forward pays weight packing and first-touch
+  // allocation; the profiler session then averages warm forwards only, so
+  // the table gains steady-state per-layer forward times.
+  loaded.net->SetSliceRate(rate);
+  (void)loaded.net->Forward(sample, /*training=*/false);
   obs::SliceProfiler profiler;
   obs::ProfilerScope scope(&profiler);
-  const ModelSummary summary = Summarize(
-      loaded.net.get(), sample, flags.GetDouble("rate", 1.0));
+  const ModelSummary summary = Summarize(loaded.net.get(), sample, rate);
   std::fputs(FormatSummary(summary).c_str(), stdout);
   return 0;
 }

@@ -90,9 +90,12 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
   const int64_t h = x.dim(2);
   const int64_t w = x.dim(3);
   const int64_t k = opts_.kernel;
+  // Checked before the division: C++ truncates toward zero, so a window
+  // one short of the kernel would otherwise still yield oh == 1.
+  MS_CHECK_MSG(h + 2 * opts_.pad >= k && w + 2 * opts_.pad >= k,
+               "Conv2d kernel larger than the padded input");
   const int64_t oh = (h + 2 * opts_.pad - k) / opts_.stride + 1;
   const int64_t ow = (w + 2 * opts_.pad - k) / opts_.stride + 1;
-  MS_CHECK(oh >= 1 && ow >= 1);
 
   // Copy-assign reuses capacity when shapes repeat, so steady-state
   // forwards stay allocation-free.
@@ -143,31 +146,40 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
                          &wpacks_[gi]);
     }
   }
-  // Parallel over images: each worker owns an im2col buffer from its own
+  // Parallel over images: each worker owns one input buffer from its own
   // arena; output planes are disjoint. Groups run serially inside each
   // image. With batch == 1 the single shard runs on the caller, where the
-  // GEMM itself may go parallel.
+  // GEMM itself may go parallel. fp32 contracts straight from a zero-padded
+  // copy of the group's channels (implicit GEMM, see PaddedConvInput);
+  // int8 keeps the im2col matrix, whose whole K-columns
+  // GemmQuantizedWeightAEx quantizes.
+  const ops::PaddedConvInput geo =
+      ops::MakePaddedConvInput(m, h, w, k, opts_.stride, opts_.pad);
   ops::ParallelForCompute(batch, [&](int64_t b0, int64_t b1) {
     ScratchArena& arena = ScratchArena::ForThread();
     ScratchArena::Scope scope(arena);
-    float* cols = arena.Alloc(col_rows * out_area);
+    // The padded buffer is zeroed once; each image rewrites only its
+    // interior, so the padding and the tail stay zero.
+    float* buf = int8 ? arena.Alloc(col_rows * out_area)
+                      : arena.AllocZeroed(geo.floats);
     for (int64_t img = b0; img < b1; ++img) {
       for (int64_t g = 0; g < groups; ++g) {
-        ops::Im2Col(xd + (img * active_in_ + g * m) * h * w, m, h, w, k,
-                    opts_.stride, opts_.pad, cols);
-        // y_g(n, out_area) = W_g[0:n, 0:m*k*k] * cols. The prefix of the
-        // full-stride pack keeps the inactive input-channel columns out.
+        const float* xg = xd + (img * active_in_ + g * m) * h * w;
+        // y_g(n, out_area) = W_g[0:n, 0:m*k*k] * im2col(x_g). The prefix
+        // of the full-stride pack keeps the inactive input-channel
+        // columns out.
         float* yg = yd + (img * active_out_ + g * n) * out_area;
         ops::Epilogue epi_g = epi;
         if (epi_g.bias != nullptr) epi_g.bias += g * n;
         const size_t gi = static_cast<size_t>(g);
         if (int8) {
+          ops::Im2Col(xg, m, h, w, k, opts_.stride, opts_.pad, buf);
           ops::GemmQuantizedWeightAEx(n, out_area, col_rows, qpacks_t_[gi],
-                                      cols, out_area, 0.0f, yg, out_area,
+                                      buf, out_area, 0.0f, yg, out_area,
                                       epi_g);
         } else {
-          ops::GemmPrepackedAEx(n, out_area, col_rows, wpacks_[gi], false,
-                                cols, out_area, 0.0f, yg, out_area, epi_g);
+          ops::CopyPaddedInterior(geo, xg, buf);
+          ops::GemmPrepackedAConv(n, wpacks_[gi], geo, buf, yg, epi_g);
         }
       }
       if (opts_.bias && !fuse) {

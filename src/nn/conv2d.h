@@ -41,12 +41,15 @@ struct Conv2dOptions {
 ///
 /// Slicing rule: the active channels are a prefix of whole conv groups.
 /// With conv_groups == 1 the one group is itself sliced, which reduces to
-/// prefix GEMMs over im2col buffers (cost ~ r^2). With conv_groups > 1
-/// every slicing-group boundary must fall on a conv-group boundary and
-/// slice_in == slice_out, so a slice keeps a prefix of whole branches and
-/// cost scales linearly in the active branches. A layer with one input and
-/// one output channel per group (depthwise) runs a direct-loop kernel,
-/// which stays fp32 at int8 precision and takes no bias.
+/// prefix GEMMs over the im2col matrix (cost ~ r^2); the fp32 forward
+/// fills its GEMM panels straight from a zero-padded copy of the input
+/// (GemmPrepackedAConv), backward and int8 materialize it (Im2Col). With
+/// conv_groups > 1 every slicing-group boundary must fall on a conv-group
+/// boundary and slice_in == slice_out, so a slice keeps a prefix of whole
+/// branches and cost scales linearly in the active branches. A layer with
+/// one input and one output channel per group (depthwise) runs a
+/// direct-loop kernel, which stays fp32 at int8 precision and takes no
+/// bias.
 class Conv2d : public Module {
  public:
   Conv2d(Conv2dOptions opts, Rng* rng, std::string name = "conv");
@@ -104,10 +107,10 @@ class Conv2d : public Module {
   Tensor b_grad_;
 
   // One prepacked W_g panel set per conv group in the GEMM's A role (W_g
-  // is the left operand of the im2col product); a sliced dense conv reads
-  // a prefix of its single pack. Ensured BEFORE the batch-parallel regions
-  // so workers share them read-only. _t = W_g^T for the backward dcols
-  // path. Empty for the depthwise kernel.
+  // is the left operand of the im2col product, explicit or implicit); a
+  // sliced dense conv reads a prefix of its single pack. Ensured BEFORE the
+  // batch-parallel regions so workers share them read-only. _t = W_g^T for
+  // the backward dcols path. Empty for the depthwise kernel.
   std::vector<ops::PackedMatrix> wpacks_;
   std::vector<ops::PackedMatrix> wpacks_t_;
 

@@ -55,7 +55,9 @@ void Walk(Module* m, int depth, ModelSummary* out) {
 
 ModelSummary Summarize(Module* net, const Tensor& sample, double rate) {
   net->SetSliceRate(rate);
-  (void)net->Forward(sample, /*training=*/false);
+  for (int i = 0; i < kSummaryTimedForwards; ++i) {
+    (void)net->Forward(sample, /*training=*/false);
+  }
   ModelSummary summary;
   summary.rate = rate;
   Walk(net, 0, &summary);

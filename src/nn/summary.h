@@ -30,11 +30,16 @@ struct ModelSummary {
   int64_t total_flops = 0;
 };
 
+/// Forward passes Summarize runs and, under a profiler session, averages.
+inline constexpr int kSummaryTimedForwards = 10;
+
 /// Walks `net` (recursing into Sequential and ResidualBlock containers)
-/// after slicing it to `rate` and running one forward pass on `sample` so
-/// spatial extents are known. When an obs::SliceProfiler session is active
-/// the pass is timed per layer and per-layer `fwd_millis` is filled in, so
-/// Summarize doubles as a quick profiling report.
+/// after slicing it to `rate` and running kSummaryTimedForwards forward
+/// passes on `sample` so spatial extents are known. When an
+/// obs::SliceProfiler session is active the passes are timed per layer and
+/// per-layer `fwd_millis` is their mean, so Summarize doubles as a quick
+/// profiling report; run one forward outside the session first so the
+/// mean covers warm forwards only (weight packing, first-touch allocation).
 ModelSummary Summarize(Module* net, const Tensor& sample, double rate);
 
 /// Renders the summary as an aligned text table. A measured "fwd ms" column

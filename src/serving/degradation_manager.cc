@@ -22,18 +22,32 @@ Result<DegradationManager> DegradationManager::Make(
 
 void DegradationManager::Reset() { queue_.clear(); }
 
-int64_t DegradationManager::MaxBatchWithinBudget(const ServingConfig& config) {
+int64_t DegradationManager::MaxBatchAtRate(const ServingConfig& config,
+                                           double rate, int64_t max_queue,
+                                           int64_t floor) {
   const double budget = config.latency_budget / 2.0;
-  const double base = config.lattice.lower_bound();
-  // The cheapest calibrated operating point bounds the ladder's last rung:
-  // int8-at-base-rate when that cost column exists, else fp32-at-base.
-  double t_min = config.full_sample_time;
-  if (config.full_sample_time_int8 > 0.0) {
-    t_min = std::min(t_min, config.full_sample_time_int8);
+  const double t = CheapestPrecision(config) == Precision::kInt8
+                       ? config.full_sample_time_int8
+                       : config.full_sample_time;
+  const double per_sample = rate * rate * t;
+  if (!(per_sample > 0.0) || !std::isfinite(per_sample)) return floor;
+  auto fits = [&](int64_t n) {
+    return LatencyScheduler::FitsBudget(n, rate, t, budget);
+  };
+  // Start from the closed form, then step to the predicate's own edge so
+  // rounding can never put the bound past a batch Schedule rejects.
+  const double guess = std::floor(budget / per_sample);
+  int64_t n = max_queue;
+  if (guess >= 0.0 && guess < static_cast<double>(max_queue)) {
+    n = static_cast<int64_t>(guess);
   }
-  const double per_sample = base * base * t_min;
-  if (per_sample <= 0.0) return 0;
-  return static_cast<int64_t>(std::floor(budget / per_sample));
+  while (n > 0 && !fits(n)) --n;
+  while (n < max_queue && fits(n + 1)) ++n;
+  return std::max(floor, n);
+}
+
+int64_t DegradationManager::MaxBatchWithinBudget(const ServingConfig& config) {
+  return MaxBatchAtRate(config, config.lattice.lower_bound());
 }
 
 DegradationTick DegradationManager::Step(int arrivals) {

@@ -9,6 +9,7 @@
 #define MODELSLICING_SERVING_DEGRADATION_MANAGER_H_
 
 #include <deque>
+#include <limits>
 #include <vector>
 
 #include "src/serving/latency_scheduler.h"
@@ -55,13 +56,24 @@ class DegradationManager {
   DegradationSummary Run(const std::vector<int>& arrivals,
                          std::vector<DegradationTick>* ticks = nullptr);
 
-  /// Largest batch the T/2 budget can absorb at the base (lowest) rate
-  /// and the cheapest calibrated precision — the last rung of the
+  /// Largest batch the scheduler can assign at `rate`: the largest n that
+  /// passes LatencyScheduler::FitsBudget at `rate` with the cheapest
+  /// calibrated precision (CheapestPrecision), capped at `max_queue` (a
+  /// cut never exceeds the queue) and raised to at least `floor`. For
+  /// every n up to MaxBatchWithinBudget, Schedule(n) returns a rate whose
+  /// bound is >= n, so the SliceServer sizes its per-rate activation plans
+  /// with it.
+  static int64_t MaxBatchAtRate(
+      const ServingConfig& config, double rate,
+      int64_t max_queue = std::numeric_limits<int64_t>::max(),
+      int64_t floor = 0);
+
+  /// MaxBatchAtRate at the base (lowest) rate — the last rung of the
   /// shedding ladder before work must stay queued. With an int8 cost
-  /// column calibrated, "drop to int8 at the base rate" is that rung, so
-  /// the queue drains up to t_fp32/t_int8 times faster before shedding.
-  /// Shared with the real-time SliceServer so simulation and serving
-  /// apply the identical policy.
+  /// column calibrated and cheaper, "drop to int8 at the base rate" is
+  /// that rung, so the queue drains up to t_fp32/t_int8 times faster
+  /// before shedding. Shared with the real-time SliceServer so simulation
+  /// and serving apply the identical policy.
   static int64_t MaxBatchWithinBudget(const ServingConfig& config);
 
  private:

@@ -46,6 +46,13 @@ double LatencyScheduler::AccuracyAt(double rate) const {
   return 0.0;
 }
 
+Precision CheapestPrecision(const ServingConfig& config) {
+  return config.full_sample_time_int8 > 0.0 &&
+                 config.full_sample_time_int8 < config.full_sample_time
+             ? Precision::kInt8
+             : Precision::kFp32;
+}
+
 double LatencyScheduler::SampleTime(Precision precision) const {
   return precision == Precision::kInt8 ? config_.full_sample_time_int8
                                        : config_.full_sample_time;
@@ -70,12 +77,10 @@ TickDecision LatencyScheduler::Schedule(int n) const {
     const double r = rates[i];
     for (const Precision p : {Precision::kFp32, Precision::kInt8}) {
       if (p == Precision::kInt8 && !int8_enabled()) continue;
-      const double cost =
-          static_cast<double>(n) * r * r * SampleTime(p);
-      if (cost <= budget + 1e-12) {
+      if (FitsBudget(n, r, SampleTime(p), budget)) {
         d.rate = r;
         d.precision = p;
-        d.processing_time = cost;
+        d.processing_time = static_cast<double>(n) * r * r * SampleTime(p);
         d.slo_met = true;
         d.accuracy = AccuracyAt(r);
         return d;
@@ -83,9 +88,10 @@ TickDecision LatencyScheduler::Schedule(int n) const {
     }
   }
   // The base network is the floor: an extreme batch can still overrun.
-  // Serve it at the cheapest operating point we have.
+  // Serve it at the cheapest operating point we have — the precision with
+  // the smaller calibrated time, which need not be int8.
   d.rate = rates.front();
-  d.precision = int8_enabled() ? Precision::kInt8 : Precision::kFp32;
+  d.precision = CheapestPrecision(config_);
   d.processing_time = static_cast<double>(n) * d.rate * d.rate *
                       SampleTime(d.precision);
   d.slo_met = false;

@@ -57,6 +57,13 @@ class LatencyScheduler {
   /// The calibrated per-sample cost of `precision` (the cost column).
   double SampleTime(Precision precision) const;
 
+  /// The Eq. 3 feasibility predicate every budget decision shares: a
+  /// batch of n samples at `rate`, t seconds per full-model sample, fits
+  /// `budget` (T/2).
+  static bool FitsBudget(int64_t n, double rate, double t, double budget) {
+    return static_cast<double>(n) * rate * rate * t <= budget + 1e-12;
+  }
+
   /// True when an int8 cost column is calibrated (the axis is usable).
   bool int8_enabled() const { return config_.full_sample_time_int8 > 0.0; }
 
@@ -70,6 +77,12 @@ class LatencyScheduler {
 
   ServingConfig config_;
 };
+
+/// The calibrated precision with the smaller per-sample time: int8 when
+/// its cost column is calibrated and cheaper than fp32, else fp32 (a tie
+/// keeps fp32's accuracy). The scheduler's overload floor and every batch
+/// bound (DegradationManager::MaxBatchAtRate) use it.
+Precision CheapestPrecision(const ServingConfig& config);
 
 struct ServingSummary {
   int64_t total_samples = 0;

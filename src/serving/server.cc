@@ -247,27 +247,31 @@ void SliceServer::PlanActivationArenas() {
   // weight pack and lazy layer cache, so the recording sees only true
   // per-forward activation traffic.
   //
-  // The plan batch must dominate every batch a tick can execute, or
-  // steady-state serving grows slabs the moment a bigger batch lands.
-  // TickOnce cuts at most MaxBatchWithinBudget requests, and the queue
-  // never holds more than max_queue, so min(bound, max_queue) is the exact
-  // worst case (floored at calibration_batch for unbudgeted configs where
-  // the bound degenerates to 0).
-  int64_t plan_batch =
-      DegradationManager::MaxBatchWithinBudget(opts_.serving);
-  if (opts_.max_queue > 0) {
-    plan_batch = std::min(plan_batch, opts_.max_queue);
-  }
-  plan_batch =
-      std::max<int64_t>(std::max<int64_t>(1, opts_.calibration_batch),
-                        plan_batch);
-  std::vector<int64_t> shape = opts_.sample_shape;
-  shape.insert(shape.begin(), plan_batch);
+  // Each rate's plan batch must dominate every batch a forward at that
+  // rate can run, or steady-state serving grows slabs the moment a bigger
+  // batch lands. TickOnce cuts at most max_queue requests and Schedule
+  // gives rate r no more than MaxBatchAtRate(r), so that bound is the
+  // exact worst case (floored at calibration_batch for unbudgeted configs
+  // where it degenerates to 0). RepairReplica's health probe also runs at
+  // the full rate. Sizing per rate keeps the r = 1 plan from recording a
+  // forward at the base rate's much larger batch.
+  const double full_rate = opts_.serving.lattice.full_rate();
+  auto plan_batch = [&](double rate) {
+    int64_t n = DegradationManager::MaxBatchAtRate(
+        opts_.serving, rate, opts_.max_queue,
+        std::max<int64_t>(1, opts_.calibration_batch));
+    if (rate == full_rate) {
+      n = std::max<int64_t>(n, opts_.health.probe_batch);
+    }
+    return n;
+  };
   auto& registry = obs::MetricsRegistry::Global();
   for (size_t ri = 0; ri < replicas_.size(); ++ri) {
     Module* replica = replicas_[ri].get();
     for (double rate : opts_.serving.lattice.rates()) {
       replica->SetSliceRate(rate);
+      std::vector<int64_t> shape = opts_.sample_shape;
+      shape.insert(shape.begin(), plan_batch(rate));
       ActivationPlan plan = PlanForward(&arenas_[ri], [&] {
         Tensor x(shape);
         Tensor y = replica->Forward(x, /*training=*/false);
@@ -281,7 +285,7 @@ void SliceServer::PlanActivationArenas() {
             ->Set(static_cast<double>(plan.packed_bytes));
       }
     }
-    replica->SetSliceRate(opts_.serving.lattice.full_rate());
+    replica->SetSliceRate(full_rate);
   }
   registry.GetGauge("ms_server_activation_peak_bytes")
       ->Set(static_cast<double>(arenas_.front().peak_live_bytes()));

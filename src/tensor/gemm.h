@@ -71,7 +71,7 @@ bool GemmHasAvx2();
 /// Static partition of [0, n) over the compute pool; fn(begin, end) runs
 /// on disjoint ranges. Serializes inline when the pool is disabled or the
 /// caller is already a pool worker. Layers use this for batch-level
-/// parallelism (conv im2col+GEMM shards).
+/// parallelism (conv per-image GEMM shards).
 void ParallelForCompute(int64_t n,
                         const std::function<void(int64_t, int64_t)>& fn);
 

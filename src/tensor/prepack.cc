@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 
 #include "src/obs/metrics.h"
 #include "src/tensor/gemm.h"
@@ -387,6 +388,178 @@ void GemmPrepackedAEx(int64_t m, int64_t n, int64_t k,
     ParallelForCompute(m_bands * n_bands, compute_cells);
   } else {
     pack_b(0, n_panels);
+    compute_cells(0, m_bands * n_bands);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Implicit-GEMM convolution over a zero-padded input (see PaddedConvInput).
+
+namespace {
+
+/// Fills the NR-wide B panel of grid columns [q0, q0 + NR): row p =
+/// (c, ki, kj) in im2col order holds xp[c*plane + row_offset(ki) + kj +
+/// stride*q]. Lanes past the live columns read wrap columns or the zero
+/// tail; they only feed accumulator lanes the merge drops.
+template <int NR>
+void FillConvPanel(const PaddedConvInput& geo, const float* xp, int64_t q0,
+                   float* dst) {
+  const int64_t stride = geo.stride;
+  const float* base = xp + stride * q0;
+  for (int64_t ch = 0; ch < geo.channels; ++ch) {
+    for (int64_t ki = 0; ki < geo.kernel; ++ki) {
+      const float* row = base + ch * geo.plane + geo.row_offset(ki);
+      for (int64_t kj = 0; kj < geo.kernel; ++kj, dst += NR) {
+        const float* src = row + kj;
+        if (stride == 1) {
+          std::memcpy(dst, src, NR * sizeof(float));
+        } else {
+          for (int jj = 0; jj < NR; ++jj) dst[jj] = src[jj * stride];
+        }
+      }
+    }
+  }
+}
+
+/// Merges an accumulator tile covering grid columns [q0, q0 + lanes) into
+/// C, one run per output row; wrap columns (oj >= ow) are dropped.
+void MergeConvTile(const float* acc, int nr, int64_t i0, int64_t rows,
+                   int64_t q0, int64_t lanes, const PaddedConvInput& geo,
+                   float* c, const Epilogue& epi) {
+  const int64_t ldc = geo.oh * geo.ow;
+  int64_t oi = q0 / geo.grid_w;
+  int64_t oj = q0 - oi * geo.grid_w;
+  for (int64_t lane = 0; lane < lanes; ++oi, oj = 0) {
+    const int64_t run = std::min(geo.grid_w - oj, lanes - lane);
+    const int64_t live = std::min(run, geo.ow - oj);
+    if (live > 0) {
+      if (epi.empty()) {
+        detail::MergeTile(acc + lane, nr, i0, rows, oi * geo.ow + oj, live,
+                          0.0f, c, ldc);
+      } else {
+        detail::MergeTileEpi(acc + lane, nr, i0, rows, oi * geo.ow + oj,
+                             live, 0.0f, c, ldc, epi);
+      }
+    }
+    lane += run;
+  }
+}
+
+}  // namespace
+
+PaddedConvInput MakePaddedConvInput(int64_t channels, int64_t h, int64_t w,
+                                    int64_t kernel, int64_t stride,
+                                    int64_t pad) {
+  using detail::CeilDiv;
+  MS_CHECK(channels >= 1 && h >= 1 && w >= 1);
+  MS_CHECK(kernel >= 1 && stride >= 1 && pad >= 0);
+  MS_CHECK_MSG(h + 2 * pad >= kernel && w + 2 * pad >= kernel,
+               "conv kernel larger than the padded input");
+  PaddedConvInput geo;
+  geo.channels = channels;
+  geo.h = h;
+  geo.w = w;
+  geo.kernel = kernel;
+  geo.stride = stride;
+  geo.pad = pad;
+  geo.oh = (h + 2 * pad - kernel) / stride + 1;
+  geo.ow = (w + 2 * pad - kernel) / stride + 1;
+  geo.grid_w = CeilDiv(w + 2 * pad, stride);
+  geo.pitch = geo.grid_w * stride;
+  geo.phase_rows = CeilDiv(h + 2 * pad, stride);
+  geo.plane = stride * geo.phase_rows * geo.pitch;
+  geo.grid_n = (geo.oh - 1) * geo.grid_w + geo.ow;
+  // The furthest read: the last channel's furthest kernel row, at the
+  // last lane of the last panel.
+  int64_t row_max = 0;
+  for (int64_t ki = 0; ki < kernel; ++ki) {
+    row_max = std::max(row_max, geo.row_offset(ki));
+  }
+  const int64_t nr = detail::ActiveKernel().nr;
+  const int64_t last_read = (channels - 1) * geo.plane + row_max +
+                            (kernel - 1) +
+                            stride * (CeilDiv(geo.grid_n, nr) * nr - 1);
+  geo.floats = std::max(channels * geo.plane, last_read + 1);
+  return geo;
+}
+
+void CopyPaddedInterior(const PaddedConvInput& geo, const float* x,
+                        float* xp) {
+  for (int64_t ch = 0; ch < geo.channels; ++ch) {
+    const float* src = x + ch * geo.h * geo.w;
+    float* dst = xp + ch * geo.plane + geo.pad;
+    for (int64_t i = 0; i < geo.h; ++i) {
+      std::memcpy(dst + geo.row_offset(i + geo.pad), src + i * geo.w,
+                  static_cast<size_t>(geo.w) * sizeof(float));
+    }
+  }
+}
+
+void GemmPrepackedAConv(int64_t m, const PackedMatrix& apack,
+                        const PaddedConvInput& geo, const float* xp,
+                        float* c, const Epilogue& epi) {
+  using detail::CeilDiv;
+  const int64_t k = geo.channels * geo.kernel * geo.kernel;
+  MS_CHECK(apack.role_ == PackedMatrix::Role::kA);
+  MS_CHECK(m <= apack.rows_ && k <= apack.cols_);
+  if (m <= 0) return;
+  g_prepacked_calls.fetch_add(1, std::memory_order_relaxed);
+  const detail::MicroKernelDesc& kd = detail::ActiveKernel();
+  const int nr = kd.nr;
+  const int mr = kd.mr;
+  MS_CHECK(apack.panel_ == mr);
+  MS_CHECK(nr == 8 || nr == 16);
+  auto fill = nr == 16 ? &FillConvPanel<16> : &FillConvPanel<8>;
+  const int64_t panel_stride = mr * apack.cols_;
+  const int64_t band_stride = CeilDiv(detail::kMC, mr) * panel_stride;
+
+  // Same fixed cell grid as GemmPrepackedAEx, over the grid_n columns of
+  // the output grid, walked column-band-major: a worker fills a band's
+  // panels once and runs every row band of its range against them.
+  const int64_t n = geo.grid_n;
+  const int64_t m_bands = CeilDiv(m, detail::kMC);
+  const int64_t n_bands = CeilDiv(n, detail::kNC);
+  const int64_t flops = 2 * m * geo.oh * geo.ow * k;
+
+  auto compute_cells = [&](int64_t c0, int64_t c1) {
+    ScratchArena& arena = ScratchArena::ForThread();
+    ScratchArena::Scope scope(arena);
+    float* bpanels = arena.Alloc(CeilDiv(detail::kNC, nr) * nr * k);
+    alignas(64) float acc[detail::kMaxMr * detail::kMaxNr];
+    int64_t filled_band = -1;
+    for (int64_t cell = c0; cell < c1; ++cell) {
+      const int64_t bj = cell / m_bands;
+      const int64_t bi = cell % m_bands;
+      const int64_t j_base = bj * detail::kNC;
+      const int64_t p0 = j_base / nr;
+      const int64_t p1 =
+          CeilDiv(j_base + std::min<int64_t>(detail::kNC, n - j_base), nr);
+      if (bj != filled_band) {
+        for (int64_t pj = p0; pj < p1; ++pj) {
+          fill(geo, xp, pj * nr, bpanels + (pj - p0) * nr * k);
+        }
+        filled_band = bj;
+      }
+      const int64_t i_base = bi * detail::kMC;
+      const int64_t rows = std::min<int64_t>(detail::kMC, m - i_base);
+      for (int64_t pj = p0; pj < p1; ++pj) {
+        const float* bpanel = bpanels + (pj - p0) * nr * k;
+        const int64_t j0 = pj * nr;
+        const int64_t lanes = std::min<int64_t>(nr, n - j0);
+        for (int64_t pi = 0; pi * mr < rows; ++pi) {
+          kd.kernel(k, apack.data_ + bi * band_stride + pi * panel_stride,
+                    bpanel, acc);
+          MergeConvTile(acc, nr, i_base + pi * mr,
+                        std::min<int64_t>(mr, rows - pi * mr), j0, lanes,
+                        geo, c, epi);
+        }
+      }
+    }
+  };
+
+  if (WorthParallel(flops, m_bands * n_bands)) {
+    ParallelForCompute(m_bands * n_bands, compute_cells);
+  } else {
     compute_cells(0, m_bands * n_bands);
   }
 }

@@ -21,6 +21,7 @@
 // and thread count. The panels are byte-identical to the scratch panels
 // Gemm packs per call, the compute walk is the same fixed grid, and the
 // skinny-M kernel performs the identical per-element contraction.
+// GemmPrepackedAConv likewise equals Im2Col followed by GemmPrepackedAEx.
 //
 // Invalidation: EnsurePacked{A,B} re-packs when the source pointer, shape,
 // leading dimension, transpose flag, or the process-wide weight generation
@@ -46,6 +47,7 @@ namespace ms {
 namespace ops {
 
 class PackedMatrix;
+struct PaddedConvInput;
 
 /// Process-wide weight generation. Monotone; compared by EnsurePacked*.
 uint64_t WeightGeneration();
@@ -100,6 +102,9 @@ class PackedMatrix {
                                const PackedMatrix&, bool, const float*,
                                int64_t, float, float*, int64_t,
                                const Epilogue&);
+  friend void GemmPrepackedAConv(int64_t, const PackedMatrix&,
+                                 const PaddedConvInput&, const float*,
+                                 float*, const Epilogue&);
 
   /// 64-byte-aligned buffer of at least `floats` floats (reuses the
   /// existing allocation when large enough).
@@ -152,9 +157,11 @@ void GemmPrepackedBEx(bool trans_a, int64_t m, int64_t n, int64_t k,
 
 // ---------------------------------------------------------------------------
 // A-role packs (op(A) is M x K). Weights used as the left operand: conv
-// layers multiply W (out_channels x in_channels*k*k) by im2col columns.
-// alpha is fixed at 1 (packed panels hold 1*w, exactly what Gemm packs
-// for the alpha the conv layers use).
+// layers multiply W (out_channels x in_channels*k*k) by the im2col matrix
+// of their input (GemmPrepackedAConv builds its panels straight from a
+// padded input; the backward dcols product uses GemmPrepackedA). alpha is
+// fixed at 1 (packed panels hold 1*w, exactly what Gemm packs for the
+// alpha the conv layers use).
 
 /// Packs op(A) (full extents m x k, leading dimension lda) into `pack`.
 void PackA(bool trans_a, int64_t m, int64_t k, const float* a, int64_t lda,
@@ -177,6 +184,64 @@ void GemmPrepackedAEx(int64_t m, int64_t n, int64_t k,
                       const PackedMatrix& apack, bool trans_b,
                       const float* b, int64_t ldb, float beta, float* c,
                       int64_t ldc, const Epilogue& epi);
+
+/// Layout of one image's zero-padded conv input for GemmPrepackedAConv.
+/// Each channel plane holds the hp = h + 2*pad padded rows at `pitch`
+/// floats per row (the padded width rounded up to a multiple of the
+/// stride), grouped by phase: padded row r sits at row_offset(r), phase
+/// r % stride first, then r / stride. For stride 1 that is the plain
+/// padded image. A zero tail follows the last plane.
+///
+/// The GEMM runs on an oh x grid_w output grid, grid_w = pitch / stride.
+/// On that grid the im2col row p = (c, ki, kj) is the slice
+///   xp[c*plane + row_offset(ki) + kj + stride*q],  q = oi*grid_w + oj,
+/// so a B panel row is a straight (for stride 1, contiguous) copy with no
+/// bounds checks. Columns oj >= ow wrap into the next padded row; they are
+/// computed and dropped at merge. The tail keeps the last panel's read
+/// past the live columns inside the buffer.
+struct PaddedConvInput {
+  int64_t channels = 0;
+  int64_t h = 0;
+  int64_t w = 0;
+  int64_t kernel = 1;
+  int64_t stride = 1;
+  int64_t pad = 0;
+  int64_t oh = 0;
+  int64_t ow = 0;
+  int64_t pitch = 0;       ///< floats per padded row; a multiple of stride
+  int64_t phase_rows = 0;  ///< rows per phase: ceil(hp / stride)
+  int64_t plane = 0;       ///< floats per channel: stride*phase_rows*pitch
+  int64_t grid_w = 0;      ///< output grid row: ow live + wrap columns
+  int64_t grid_n = 0;      ///< GEMM columns: (oh - 1) * grid_w + ow
+  int64_t floats = 0;      ///< buffer size, zero tail included
+
+  /// Offset of padded row r inside a channel plane.
+  int64_t row_offset(int64_t r) const {
+    return ((r % stride) * phase_rows + r / stride) * pitch;
+  }
+};
+
+/// Geometry for the active kernel's panel width. The padded input must
+/// cover the kernel (h + 2*pad >= kernel, same for w).
+PaddedConvInput MakePaddedConvInput(int64_t channels, int64_t h, int64_t w,
+                                    int64_t kernel, int64_t stride,
+                                    int64_t pad);
+
+/// Copies x (channels x h x w, row-major) into the interior of xp. Writes
+/// nothing else: zero xp (geo.floats) once, then copy image after image.
+void CopyPaddedInterior(const PaddedConvInput& geo, const float* x,
+                        float* xp);
+
+/// Implicit-GEMM convolution: c (m x oh*ow, row-major) =
+/// Apack[:m, :channels*kernel^2] * Im2Col(x), with the epilogue fused at
+/// writeback, where xp is x copied into a zeroed padded buffer. Bitwise
+/// equal to Im2Col + GemmPrepackedAEx(beta = 0): every live column gets
+/// the same panel values (zero padding included), the same A panels, the
+/// same kernel and the same k order. Parallel over panel-grid cells when
+/// worth it; each worker fills the panels it computes.
+void GemmPrepackedAConv(int64_t m, const PackedMatrix& apack,
+                        const PaddedConvInput& geo, const float* xp,
+                        float* c, const Epilogue& epi);
 
 // ---------------------------------------------------------------------------
 // Observability. Process-wide counters (relaxed atomics, cheap enough for

@@ -1,8 +1,8 @@
-// Thread-local scratch arena for kernel workspace: im2col buffers, GEMM
-// packing panels, RNN gate pre-activations, per-shard gradient
-// accumulators. A bump allocator over a small list of growing blocks;
-// Scope gives stack discipline, so steady-state iterations reuse the
-// blocks reserved by the first one and perform zero heap allocations
+// Thread-local scratch arena for kernel workspace: padded conv inputs,
+// im2col buffers, GEMM packing panels, RNN gate pre-activations, per-shard
+// gradient accumulators. A bump allocator over a small list of growing
+// blocks; Scope gives stack discipline, so steady-state iterations reuse
+// the blocks reserved by the first one and perform zero heap allocations
 // (TotalBlockAllocs is the test hook that asserts this).
 #ifndef MODELSLICING_TENSOR_SCRATCH_H_
 #define MODELSLICING_TENSOR_SCRATCH_H_

@@ -110,6 +110,47 @@ TEST(DegradationManager, Int8HoldsRateAndExtendsCapacity) {
       DegradationManager::MaxBatchWithinBudget(DefaultOptions().serving), 256);
 }
 
+TEST(DegradationManager, MaxBatchAtRateFollowsTheCheapestColumn) {
+  auto serving = DefaultOptions().serving;  // T/2 = 16, t = 1
+  EXPECT_EQ(DegradationManager::MaxBatchAtRate(serving, 1.0), 16);
+  EXPECT_EQ(DegradationManager::MaxBatchAtRate(serving, 0.5), 64);
+  EXPECT_EQ(DegradationManager::MaxBatchAtRate(serving, 0.25),
+            DegradationManager::MaxBatchWithinBudget(serving));
+  // The max_queue cap and the floor.
+  EXPECT_EQ(DegradationManager::MaxBatchAtRate(serving, 0.25, 100), 100);
+  EXPECT_EQ(DegradationManager::MaxBatchAtRate(serving, 1.0, 100, 40), 40);
+  // A faster int8 column raises every bound; a slower one changes none.
+  serving.full_sample_time_int8 = 0.25;
+  EXPECT_EQ(DegradationManager::MaxBatchAtRate(serving, 1.0), 64);
+  serving.full_sample_time_int8 = 2.0;
+  EXPECT_EQ(DegradationManager::MaxBatchAtRate(serving, 1.0), 16);
+}
+
+// Property: every batch the server can cut (n up to the base-rate bound)
+// is scheduled at a rate whose bound — the server's per-rate activation
+// plan batch — is at least n, for every ordering of t and t8.
+TEST(DegradationManager, ScheduledRateBoundCoversEveryCutBatch) {
+  for (double t8 : {0.0, 0.25, 0.7, 1.0, 1.6, 3.0}) {
+    for (double budget : {32.0, 37.3, 100.0}) {
+      auto serving = DefaultOptions().serving;
+      serving.full_sample_time_int8 = t8;
+      serving.latency_budget = budget;
+      auto sched = LatencyScheduler::Make(serving).MoveValueOrDie();
+      const int64_t cut = DegradationManager::MaxBatchWithinBudget(serving);
+      ASSERT_GE(cut, 1);
+      for (int64_t n = 1; n <= cut; ++n) {
+        const TickDecision d = sched.Schedule(static_cast<int>(n));
+        EXPECT_TRUE(d.slo_met) << "n=" << n << " t8=" << t8;
+        EXPECT_GE(DegradationManager::MaxBatchAtRate(serving, d.rate), n)
+            << "n=" << n << " rate=" << d.rate << " t8=" << t8
+            << " budget=" << budget;
+      }
+      // One past the cut is infeasible at every rate.
+      EXPECT_FALSE(sched.Schedule(static_cast<int>(cut + 1)).slo_met);
+    }
+  }
+}
+
 TEST(DegradationManager, RejectsBadOptions) {
   auto opts = DefaultOptions();
   opts.max_queue = 0;

@@ -3,6 +3,7 @@
 // slicing, plus the batch-invariance contract of the one conv layer.
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -208,6 +209,155 @@ TEST(ConvContract, BatchInvariant) {
             }
           }
         }
+      }
+    }
+  }
+}
+
+enum class ConvMode { kFused, kUnfused, kTraining };
+
+// Per image and conv group: Im2Col followed by the scalar reference
+// GemmRefEx, with the bias always and the ReLU only when fused.
+Tensor Im2ColGemmOracle(const Conv2d& conv, const Tensor& x, ConvMode mode) {
+  const Conv2dOptions& o = conv.options();
+  const int64_t batch = x.dim(0), h = x.dim(2), w = x.dim(3);
+  const int64_t oh = (h + 2 * o.pad - o.kernel) / o.stride + 1;
+  const int64_t ow = (w + 2 * o.pad - o.kernel) / o.stride + 1;
+  const int64_t groups =
+      o.conv_groups == 1 ? 1
+                         : conv.active_in() / (o.in_channels / o.conv_groups);
+  const int64_t m = conv.active_in() / groups;
+  const int64_t n = conv.active_out() / groups;
+  const int64_t col_rows = m * o.kernel * o.kernel;
+  const int64_t ld_w = conv.weight().dim(1);
+  const int64_t out_pg = o.out_channels / o.conv_groups;
+  Tensor ref({batch, conv.active_out(), oh, ow});
+  std::vector<float> cols(static_cast<size_t>(col_rows * oh * ow));
+  for (int64_t img = 0; img < batch; ++img) {
+    for (int64_t g = 0; g < groups; ++g) {
+      ops::Im2Col(x.data() + (img * conv.active_in() + g * m) * h * w, m, h,
+                  w, o.kernel, o.stride, o.pad, cols.data());
+      ops::Epilogue epi;
+      epi.bias = conv.bias().data() + g * n;
+      epi.per_row = true;
+      if (mode == ConvMode::kFused) epi.act = ops::EpiAct::kRelu;
+      ops::GemmRefEx(false, false, n, oh * ow, col_rows, 1.0f,
+                     conv.weight().data() + g * out_pg * ld_w, ld_w,
+                     cols.data(), oh * ow, 0.0f,
+                     ref.data() + (img * conv.active_out() + g * n) * oh * ow,
+                     oh * ow, epi);
+    }
+  }
+  return ref;
+}
+
+// Conv2d with bias (nonzero) and a planted ReLU for the fused mode.
+std::unique_ptr<Conv2d> OracleConv(Conv2dOptions opts, uint64_t seed) {
+  Rng rng(seed);
+  opts.bias = true;
+  auto conv = std::make_unique<Conv2d>(opts, &rng);
+  conv->SetFusedActivation(ops::EpiAct::kRelu);
+  for (int64_t i = 0; i < opts.out_channels; ++i) {
+    (*conv->mutable_bias())[i] = 0.07f * static_cast<float>(i % 9) - 0.3f;
+  }
+  return conv;
+}
+
+// Forward == oracle, bitwise, in every mode at threads {1, 4}. Returns the
+// number of forwards checked.
+int ExpectMatchesOracle(Conv2d* conv, const Tensor& x,
+                        const std::string& what) {
+  int checked = 0;
+  for (ConvMode mode :
+       {ConvMode::kFused, ConvMode::kUnfused, ConvMode::kTraining}) {
+    const Tensor ref = Im2ColGemmOracle(*conv, x, mode);
+    ops::SetFuseEpilogues(mode == ConvMode::kFused);
+    for (int threads : {1, 4}) {
+      ops::SetComputeThreads(threads);
+      Tensor y = conv->Forward(x, mode == ConvMode::kTraining);
+      EXPECT_EQ(y.size(), ref.size()) << what;
+      if (y.size() != ref.size()) continue;
+      EXPECT_TRUE(Bitwise(y.data(), ref.data(), y.size()))
+          << what << " mode=" << static_cast<int>(mode)
+          << " threads=" << threads;
+      ++checked;
+    }
+  }
+  return checked;
+}
+
+// The conv forward (implicit GEMM over a padded input in fp32) equals an
+// independent Im2Col + GemmRefEx oracle bitwise, over strides, pads,
+// kernels, odd and tiny inputs, rates, conv groups, fusion and training
+// modes, batches and thread counts.
+TEST(ConvContract, MatchesIm2ColGemmOracle) {
+  GlobalStateGuard guard;
+  constexpr int64_t kChannels = 8;
+  struct Shape {
+    int64_t h, w;
+  };
+  // Non-square, 1x1, and smaller than the 5x5 kernel.
+  const Shape shapes[] = {{7, 5}, {1, 1}, {3, 2}};
+  int checked = 0;
+  for (int64_t cg : {int64_t{1}, int64_t{4}}) {
+    for (int64_t kernel : {1, 3, 5}) {
+      for (int64_t stride : {1, 2}) {
+        for (int64_t pad : {0, 1, 2}) {
+          Conv2dOptions opts;
+          opts.in_channels = kChannels;
+          opts.out_channels = kChannels;
+          opts.kernel = kernel;
+          opts.stride = stride;
+          opts.pad = pad;
+          opts.groups = 4;
+          opts.conv_groups = cg;
+          auto conv = OracleConv(
+              opts, static_cast<uint64_t>(cg * 100 + kernel * 10 +
+                                          stride * 3 + pad));
+          Rng rng(61);
+          for (const Shape& s : shapes) {
+            if (s.h + 2 * pad < kernel || s.w + 2 * pad < kernel) continue;
+            for (double r : {0.25, 0.5, 1.0}) {
+              conv->SetSliceRate(r);
+              for (int64_t batch : {1, 3, 8}) {
+                Tensor x = Tensor::Randn(
+                    {batch, conv->active_in(), s.h, s.w}, &rng);
+                checked += ExpectMatchesOracle(
+                    conv.get(), x,
+                    "conv_groups=" + std::to_string(cg) +
+                        " kernel=" + std::to_string(kernel) +
+                        " stride=" + std::to_string(stride) +
+                        " pad=" + std::to_string(pad) + " input " +
+                        std::to_string(s.h) + "x" + std::to_string(s.w) +
+                        " r=" + std::to_string(r) +
+                        " batch=" + std::to_string(batch));
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
+
+  // Large enough for the GEMM's own cell split at batch 1 (2 row bands x
+  // 2 column bands) and for the last panel to over-read the tail.
+  for (int64_t stride : {1, 2}) {
+    Conv2dOptions opts;
+    opts.in_channels = 32;
+    opts.out_channels = 128;
+    opts.stride = stride;
+    opts.groups = 4;
+    auto conv = OracleConv(opts, 70 + static_cast<uint64_t>(stride));
+    Rng rng(71);
+    for (double r : {0.5, 1.0}) {
+      conv->SetSliceRate(r);
+      for (int64_t batch : {1, 3}) {
+        Tensor x = Tensor::Randn({batch, conv->active_in(), 21, 23}, &rng);
+        ExpectMatchesOracle(conv.get(), x,
+                            "large stride=" + std::to_string(stride) +
+                                " r=" + std::to_string(r) +
+                                " batch=" + std::to_string(batch));
       }
     }
   }

@@ -2,12 +2,14 @@
 // rather than corrupt memory — shape mismatches between slices are the most
 // dangerous class of bug in a width-dynamic library.
 #include <string>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "src/nn/conv2d.h"
 #include "src/nn/dense.h"
 #include "src/nn/norm.h"
 #include "src/nn/slice_spec.h"
+#include "src/tensor/prepack.h"
 #include "src/tensor/tensor.h"
 #include "src/util/rng.h"
 
@@ -69,6 +71,33 @@ TEST(InvariantsDeathTest, ConvBackwardRejectsShortGradBatch) {
     layer.Forward(Tensor::Randn({4, 8, 4, 4}, &rng), /*training=*/true);
     Tensor g = Tensor::Randn({2, 8, 4, 4}, &rng);
     EXPECT_DEATH(layer.Backward(g), "MS_CHECK failed") << "conv_groups=" << cg;
+  }
+  ::testing::FLAGS_gtest_death_test_style = style;
+}
+
+TEST(InvariantsDeathTest, ConvRejectsKernelLargerThanPaddedInput) {
+  // A 3-wide window at stride 2 over 2 padded pixels: truncating division
+  // would give one output row that reads past the padded input, which the
+  // implicit-GEMM panel fill does without bounds checks. Earlier tests may
+  // have started the compute pool: re-exec the child rather than fork.
+  const std::string style = ::testing::FLAGS_gtest_death_test_style;
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Rng rng(6);
+  Conv2dOptions opts;
+  opts.in_channels = 4;
+  opts.out_channels = 4;
+  opts.kernel = 3;
+  opts.stride = 2;
+  opts.pad = 0;
+  Conv2d layer(opts, &rng);
+  for (const auto& hw : {std::pair<int64_t, int64_t>{2, 2}, {7, 2}, {2, 7}}) {
+    Tensor x = Tensor::Randn({1, 4, hw.first, hw.second}, &rng);
+    EXPECT_DEATH(layer.Forward(x, /*training=*/false),
+                 "Conv2d kernel larger than the padded input")
+        << hw.first << "x" << hw.second;
+    EXPECT_DEATH(ops::MakePaddedConvInput(4, hw.first, hw.second, 3, 2, 0),
+                 "kernel larger than the padded input")
+        << hw.first << "x" << hw.second;
   }
   ::testing::FLAGS_gtest_death_test_style = style;
 }

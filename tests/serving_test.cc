@@ -190,6 +190,35 @@ TEST(LatencyScheduler, DropsToInt8AtCurrentRateBeforeDroppingRate) {
   EXPECT_FALSE(worst.slo_met);
 }
 
+// The overload floor (a batch no operating point fits) serves at the base
+// rate with the precision whose calibrated time is smaller — the min(t, t8)
+// rule the batch bounds use — so a slower int8 path is never the floor.
+TEST(LatencyScheduler, OverloadFloorPicksInt8WhenInt8IsFaster) {
+  auto cfg = DefaultServing();
+  cfg.full_sample_time_int8 = 0.25;  // t8 < t
+  auto sched = LatencyScheduler::Make(cfg).MoveValueOrDie();
+  const TickDecision d = sched.Schedule(2000);
+  EXPECT_FALSE(d.slo_met);
+  EXPECT_DOUBLE_EQ(d.rate, 0.25);
+  EXPECT_EQ(d.precision, Precision::kInt8);
+  EXPECT_DOUBLE_EQ(d.processing_time, 2000 * 0.0625 * 0.25);
+}
+
+TEST(LatencyScheduler, OverloadFloorPicksFp32WhenInt8IsSlower) {
+  auto cfg = DefaultServing();
+  cfg.full_sample_time_int8 = 2.5;  // t8 > t: int8 conv loses to fp32
+  auto sched = LatencyScheduler::Make(cfg).MoveValueOrDie();
+  const TickDecision d = sched.Schedule(2000);
+  EXPECT_FALSE(d.slo_met);
+  EXPECT_DOUBLE_EQ(d.rate, 0.25);
+  EXPECT_EQ(d.precision, Precision::kFp32);
+  EXPECT_DOUBLE_EQ(d.processing_time, 2000 * 0.0625 * 1.0);
+  // A tie keeps fp32's accuracy.
+  cfg.full_sample_time_int8 = cfg.full_sample_time;
+  auto tied = LatencyScheduler::Make(cfg).MoveValueOrDie();
+  EXPECT_EQ(tied.Schedule(2000).precision, Precision::kFp32);
+}
+
 TEST(LatencyScheduler, ScheduleFixedUsesThePrecisionCostColumn) {
   auto cfg = DefaultServing();
   cfg.full_sample_time_int8 = 0.25;

@@ -4,6 +4,7 @@
 #include "gtest/gtest.h"
 #include "src/models/cnn.h"
 #include "src/nn/summary.h"
+#include "src/obs/profiler.h"
 
 namespace ms {
 namespace {
@@ -87,6 +88,25 @@ TEST(Summary, ConvKindsFollowConvGroups) {
   EXPECT_EQ(count(ms, "dwconv"), 2);  // one per block
   EXPECT_EQ(count(ms, "gconv"), 0);
   EXPECT_GT(count(ms, "conv2d"), 0);
+}
+
+// mscli summary's protocol: a warm-up forward outside the profiler, then
+// Summarize times exactly kSummaryTimedForwards forwards per layer.
+TEST(Summary, ProfilerSeesExactlyTheTimedForwards) {
+  auto net = MakeVggSmall(SmallCfg()).MoveValueOrDie();
+  Tensor sample({1, 3, 8, 8});
+  net->SetSliceRate(0.5);
+  (void)net->Forward(sample, /*training=*/false);  // warm-up, untimed
+  obs::SliceProfiler profiler;
+  obs::ProfilerScope scope(&profiler);
+  const ModelSummary s = Summarize(net.get(), sample, 0.5);
+  const auto stats = profiler.ForwardStats();
+  ASSERT_FALSE(stats.empty());
+  for (const auto& st : stats) {
+    EXPECT_EQ(st.forward_calls, kSummaryTimedForwards) << st.layer;
+    EXPECT_DOUBLE_EQ(st.rate, 0.5) << st.layer;
+  }
+  EXPECT_GT(s.layers.front().fwd_millis, 0.0);
 }
 
 TEST(Summary, FormatContainsLayersAndTotal) {
