@@ -261,15 +261,14 @@ int Main() {
     registry.GetGauge("bench_gemm.lstm-gates.speedup")->Set(t_gemm / t_pre);
   }
   // -------------------------------------------------------------------------
-  // Int8 quantized weights (quant.h): fp32 prepacked vs GemmQuantized* at
+  // Int8 quantized weights (quant.h): fp32 prepacked vs GemmQuantizedB at
   // matched slice rates — the second elastic axis. One quantized pack per
-  // weight serves every rate (k is a whole-segment prefix, n/m a column
+  // weight serves every rate (k is a whole-segment prefix, n a column
   // prefix). Rows tagged "serving" are the shapes the scheduler actually
-  // dispatches (dense m <= 8; conv C_out >= 128) and feed the
-  // MS_BENCH_INT8_GATE geomean + per-row-floor check below;
-  // MS_BENCH_INT8_OUT writes the rows as JSONL (the checked-in
-  // bench_results/BENCH_INT8.json).
-  bench::PrintTitle("int8 quantized W: fp32 prepacked vs GemmQuantized*");
+  // dispatches (dense m <= 8) and feed the MS_BENCH_INT8_GATE geomean +
+  // per-row-floor check below; MS_BENCH_INT8_OUT writes the rows as JSONL
+  // (the checked-in bench_results/BENCH_INT8.json).
+  bench::PrintTitle("int8 quantized W: fp32 prepacked vs GemmQuantizedB");
   const char* int8_kernel = ops::GemmHasInt8Vnni()   ? "avx512-vnni"
                             : ops::GemmHasInt8Avx2() ? "avx2-maddubs"
                                                      : "portable";
@@ -308,45 +307,8 @@ int Main() {
                               0.0f, y.data(), n);
         });
         row.int8_us = 1e6 * TimeCall(min_s, [&] {
-          ops::GemmQuantizedB(false, m, nr, kr, 1.0f, x.data(), k, qpack,
-                              0.0f, y.data(), n);
-        });
-        int8_rows.push_back(row);
-      }
-    }
-  }
-
-  // Conv serving: C = W * im2col, a mid-network 3x3 layer (C_out=256,
-  // C_in=64 => K=576) at 14x14 and 28x28 output maps. The quantized pack
-  // is the transposed one the dense path uses (wpack_t packs W^T).
-  {
-    const int64_t cout = 256, cin = 64, k = cin * 9, groups = 8;
-    Tensor w = Tensor::Randn({cout, k}, &rng);
-    ops::PackedMatrix wpa;
-    ops::PackA(/*trans_a=*/false, cout, k, w.data(), k, &wpa);
-    std::vector<int64_t> ends;
-    for (int64_t g = 1; g <= groups; ++g) ends.push_back(g * k / groups);
-    ops::QuantizedPack qpack;
-    ops::EnsureQuantizedB(true, k, cout, w.data(), k, ends, &qpack);
-    for (const int64_t npix : {196, 784}) {
-      Tensor b = Tensor::Randn({k, npix}, &rng);
-      Tensor c({cout, npix});
-      for (const double r : rates) {
-        const int64_t mr = static_cast<int64_t>(cout * r);
-        const int64_t kr = static_cast<int64_t>(k * r);
-        Int8Row row;
-        char label[48];
-        std::snprintf(label, sizeof(label), "conv%d-r%.2f",
-                      static_cast<int>(npix), r);
-        row.label = label;
-        row.serving = mr >= 128;
-        row.fp32_us = 1e6 * TimeCall(min_s, [&] {
-          ops::GemmPrepackedA(mr, npix, kr, wpa, false, b.data(), npix,
-                              0.0f, c.data(), npix);
-        });
-        row.int8_us = 1e6 * TimeCall(min_s, [&] {
-          ops::GemmQuantizedWeightA(mr, npix, kr, qpack, b.data(), npix,
-                                    0.0f, c.data(), npix);
+          ops::GemmQuantizedB(m, nr, kr, 1.0f, x.data(), k, qpack, 0.0f,
+                              y.data(), n);
         });
         int8_rows.push_back(row);
       }

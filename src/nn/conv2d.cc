@@ -58,17 +58,9 @@ Conv2d::Conv2d(Conv2dOptions opts, Rng* rng, std::string name)
     b_ = Tensor::Zeros({opts_.out_channels});
     b_grad_ = Tensor::Zeros({opts_.out_channels});
   }
-  if (cg == 1) {
-    for (int64_t g = 1; g <= in_spec_.num_groups(); ++g) {
-      in_k_ends_.push_back(in_spec_.GroupBoundary(g) * kk);
-    }
-  } else {
-    in_k_ends_ = {fan_in};
-  }
   const size_t packs = depthwise_ ? 0 : static_cast<size_t>(cg);
   wpacks_.resize(packs);
   wpacks_t_.resize(packs);
-  qpacks_t_.resize(packs);
 }
 
 void Conv2d::DoSetSliceRate(double r) {
@@ -123,7 +115,6 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
   const int64_t groups = ActiveConvGroups();
   const int64_t m = active_in_ / groups;
   const int64_t n = active_out_ / groups;
-  const int64_t col_rows = m * k * k;
   const int64_t out_area = oh * ow;
   const int64_t ld_w = w_.dim(1);
   const int64_t out_pg = opts_.out_channels / opts_.conv_groups;
@@ -132,27 +123,18 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
   const float* xd = x.data();
   float* yd = y.data();
   // Pack each active group's W once, outside the parallel region (workers
-  // then only read). Int8 is inference-only; training always contracts in
-  // fp32.
-  const bool int8 = precision_ == Precision::kInt8 && !training;
+  // then only read).
   for (int64_t g = 0; g < groups; ++g) {
-    const float* wg = w_.data() + g * out_pg * ld_w;
-    const size_t gi = static_cast<size_t>(g);
-    if (int8) {
-      ops::EnsureQuantizedB(/*trans_b=*/true, ld_w, out_pg, wg, ld_w,
-                            in_k_ends_, &qpacks_t_[gi]);
-    } else {
-      ops::EnsurePackedA(/*trans_a=*/false, out_pg, ld_w, wg, ld_w,
-                         &wpacks_[gi]);
-    }
+    ops::EnsurePackedA(/*trans_a=*/false, out_pg, ld_w,
+                       w_.data() + g * out_pg * ld_w, ld_w,
+                       &wpacks_[static_cast<size_t>(g)]);
   }
   // Parallel over images: each worker owns one input buffer from its own
   // arena; output planes are disjoint. Groups run serially inside each
   // image. With batch == 1 the single shard runs on the caller, where the
-  // GEMM itself may go parallel. fp32 contracts straight from a zero-padded
-  // copy of the group's channels (implicit GEMM, see PaddedConvInput);
-  // int8 keeps the im2col matrix, whose whole K-columns
-  // GemmQuantizedWeightAEx quantizes.
+  // GEMM itself may go parallel. The GEMM contracts straight from a
+  // zero-padded copy of the group's channels (implicit GEMM, see
+  // PaddedConvInput).
   const ops::PaddedConvInput geo =
       ops::MakePaddedConvInput(m, h, w, k, opts_.stride, opts_.pad);
   ops::ParallelForCompute(batch, [&](int64_t b0, int64_t b1) {
@@ -160,8 +142,7 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
     ScratchArena::Scope scope(arena);
     // The padded buffer is zeroed once; each image rewrites only its
     // interior, so the padding and the tail stay zero.
-    float* buf = int8 ? arena.Alloc(col_rows * out_area)
-                      : arena.AllocZeroed(geo.floats);
+    float* buf = arena.AllocZeroed(geo.floats);
     for (int64_t img = b0; img < b1; ++img) {
       for (int64_t g = 0; g < groups; ++g) {
         const float* xg = xd + (img * active_in_ + g * m) * h * w;
@@ -171,16 +152,9 @@ Tensor Conv2d::DoForward(const Tensor& x, bool training) {
         float* yg = yd + (img * active_out_ + g * n) * out_area;
         ops::Epilogue epi_g = epi;
         if (epi_g.bias != nullptr) epi_g.bias += g * n;
-        const size_t gi = static_cast<size_t>(g);
-        if (int8) {
-          ops::Im2Col(xg, m, h, w, k, opts_.stride, opts_.pad, buf);
-          ops::GemmQuantizedWeightAEx(n, out_area, col_rows, qpacks_t_[gi],
-                                      buf, out_area, 0.0f, yg, out_area,
-                                      epi_g);
-        } else {
-          ops::CopyPaddedInterior(geo, xg, buf);
-          ops::GemmPrepackedAConv(n, wpacks_[gi], geo, buf, yg, epi_g);
-        }
+        ops::CopyPaddedInterior(geo, xg, buf);
+        ops::GemmPrepackedAConv(n, wpacks_[static_cast<size_t>(g)], geo, buf,
+                                yg, epi_g);
       }
       if (opts_.bias && !fuse) {
         float* yi = yd + img * active_out_ * out_area;

@@ -41,15 +41,19 @@ struct Conv2dOptions {
 ///
 /// Slicing rule: the active channels are a prefix of whole conv groups.
 /// With conv_groups == 1 the one group is itself sliced, which reduces to
-/// prefix GEMMs over the im2col matrix (cost ~ r^2); the fp32 forward
-/// fills its GEMM panels straight from a zero-padded copy of the input
-/// (GemmPrepackedAConv), backward and int8 materialize it (Im2Col). With
+/// prefix GEMMs over the im2col matrix (cost ~ r^2); the forward fills its
+/// GEMM panels straight from a zero-padded copy of the input
+/// (GemmPrepackedAConv), and only backward materializes it (Im2Col). With
 /// conv_groups > 1 every slicing-group boundary must fall on a conv-group
 /// boundary and slice_in == slice_out, so a slice keeps a prefix of whole
 /// branches and cost scales linearly in the active branches. A layer with
 /// one input and one output channel per group (depthwise) runs a
-/// direct-loop kernel, which stays fp32 at int8 precision and takes no
-/// bias.
+/// direct-loop kernel and takes no bias.
+///
+/// The forward is fp32 at every precision: an int8 conv has to quantize
+/// every output pixel's im2col column, which made it slower than the fp32
+/// implicit GEMM end to end (vgg13 and resnet56-2, every slice rate), so
+/// SetPrecision(kInt8) only changes the Dense/Lstm/Gru layers of a model.
 class Conv2d : public Module {
  public:
   Conv2d(Conv2dOptions opts, Rng* rng, std::string name = "conv");
@@ -113,14 +117,6 @@ class Conv2d : public Module {
   // the backward dcols path. Empty for the depthwise kernel.
   std::vector<ops::PackedMatrix> wpacks_;
   std::vector<ops::PackedMatrix> wpacks_t_;
-
-  /// Int8 forward path: W_g^T quantized per (input-channel slice group x
-  /// k*k segment, output channel) — the SAME pack format Dense uses; the
-  /// conv GEMM consumes it through GemmQuantizedWeightA's transposed merge.
-  std::vector<ops::QuantizedPack> qpacks_t_;
-  /// K segment ends of W_g^T: input slice-group boundaries scaled by k*k
-  /// (one segment per whole branch when conv_groups > 1).
-  std::vector<int64_t> in_k_ends_;
 
   Tensor cached_x_;       ///< compact input (B, m, H, W)
   ops::EpiAct fused_act_ = ops::EpiAct::kNone;

@@ -31,7 +31,7 @@ Dense::Dense(DenseOptions opts, Rng* rng, std::string name)
     b_grad_ = Tensor::Zeros({opts_.out_features});
   }
   for (int64_t g = 1; g <= in_spec_.num_groups(); ++g) {
-    in_k_ends_.push_back(in_spec_.GroupBoundary(g) * opts_.in_unit);
+    in_seg_ends_.push_back(in_spec_.GroupBoundary(g) * opts_.in_unit);
   }
 }
 
@@ -71,9 +71,9 @@ Tensor Dense::DoForward(const Tensor& x, bool training) {
   if (precision_ == Precision::kInt8 && !training) {
     ops::EnsureQuantizedB(/*trans_b=*/true, opts_.in_features,
                           opts_.out_features, w_.data(), opts_.in_features,
-                          in_k_ends_, &qpack_t_);
-    ops::GemmQuantizedBEx(/*trans_a=*/false, batch, n, m, rescale_factor_,
-                          x.data(), m, qpack_t_, 0.0f, y.data(), n, epi);
+                          in_seg_ends_, &qpack_t_);
+    ops::GemmQuantizedBEx(batch, n, m, rescale_factor_, x.data(), m,
+                          qpack_t_, 0.0f, y.data(), n, epi);
   } else {
     ops::EnsurePackedB(/*trans_b=*/true, opts_.in_features,
                        opts_.out_features, w_.data(), opts_.in_features,

@@ -92,7 +92,7 @@ class Dense : public Module {
   /// same weight generation as the fp32 panels.
   ops::QuantizedPack qpack_t_;
   /// K segment ends of W^T: input group boundaries scaled by in_unit.
-  std::vector<int64_t> in_k_ends_;
+  std::vector<int64_t> in_seg_ends_;
 };
 
 }  // namespace ms

@@ -38,10 +38,10 @@ Gru::Gru(GruOptions opts, Rng* rng, std::string name)
   bx_grad_ = Tensor::Zeros(bx_.shape());
   bh_grad_ = Tensor::Zeros(bh_.shape());
   for (int64_t g = 1; g <= in_spec_.num_groups(); ++g) {
-    in_k_ends_.push_back(in_spec_.GroupBoundary(g));
+    in_seg_ends_.push_back(in_spec_.GroupBoundary(g));
   }
   for (int64_t g = 1; g <= hidden_spec_.num_groups(); ++g) {
-    hidden_k_ends_.push_back(hidden_spec_.GroupBoundary(g));
+    hidden_seg_ends_.push_back(hidden_spec_.GroupBoundary(g));
   }
 }
 
@@ -71,8 +71,8 @@ void Gru::InputGemm(int gate, const float* x, int64_t batch, bool int8,
     epi.per_row = false;  // bias indexed by hidden unit == C column
   }
   if (int8) {
-    ops::GemmQuantizedBEx(false, batch, n, m, rescale_x_, x, m, qwx_t_[gate],
-                          0.0f, z, n, epi);
+    ops::GemmQuantizedBEx(batch, n, m, rescale_x_, x, m, qwx_t_[gate], 0.0f,
+                          z, n, epi);
   } else {
     ops::GemmPrepackedBEx(false, batch, n, m, rescale_x_, x, m,
                           wx_pack_t_[gate], 0.0f, z, n, epi);
@@ -95,8 +95,8 @@ void Gru::HiddenGemm(int gate, const float* h, int64_t batch, bool int8,
     epi.per_row = false;
   }
   if (int8) {
-    ops::GemmQuantizedBEx(false, batch, n, n, rescale_h_, h, n, qwh_t_[gate],
-                          0.0f, z, n, epi);
+    ops::GemmQuantizedBEx(batch, n, n, rescale_h_, h, n, qwh_t_[gate], 0.0f,
+                          z, n, epi);
   } else {
     ops::GemmPrepackedBEx(false, batch, n, n, rescale_h_, h, n,
                           wh_pack_t_[gate], 0.0f, z, n, epi);
@@ -132,11 +132,11 @@ Tensor Gru::DoForward(const Tensor& x, bool training) {
       ops::EnsureQuantizedB(
           true, opts_.input_size, opts_.hidden_size,
           wx_.data() + gate * opts_.hidden_size * opts_.input_size,
-          opts_.input_size, in_k_ends_, &qwx_t_[gate]);
+          opts_.input_size, in_seg_ends_, &qwx_t_[gate]);
       ops::EnsureQuantizedB(
           true, opts_.hidden_size, opts_.hidden_size,
           wh_.data() + gate * opts_.hidden_size * opts_.hidden_size,
-          opts_.hidden_size, hidden_k_ends_, &qwh_t_[gate]);
+          opts_.hidden_size, hidden_seg_ends_, &qwh_t_[gate]);
     } else {
       ops::EnsurePackedB(
           true, opts_.input_size, opts_.hidden_size,

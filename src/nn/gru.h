@@ -81,7 +81,7 @@ class Gru : public Module {
   // Int8 forward path: quantized gate blocks, K segments on the input /
   // hidden slice-group boundaries so any rate reads a pack prefix.
   ops::QuantizedPack qwx_t_[3], qwh_t_[3];
-  std::vector<int64_t> in_k_ends_, hidden_k_ends_;
+  std::vector<int64_t> in_seg_ends_, hidden_seg_ends_;
 
   struct StepCache {
     Tensor r, z, n;   ///< gate activations, (B, active_hidden) each

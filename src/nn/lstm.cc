@@ -37,10 +37,10 @@ Lstm::Lstm(LstmOptions opts, Rng* rng, std::string name)
   wh_grad_ = Tensor::Zeros(wh_.shape());
   b_grad_ = Tensor::Zeros(b_.shape());
   for (int64_t g = 1; g <= in_spec_.num_groups(); ++g) {
-    in_k_ends_.push_back(in_spec_.GroupBoundary(g));
+    in_seg_ends_.push_back(in_spec_.GroupBoundary(g));
   }
   for (int64_t g = 1; g <= hidden_spec_.num_groups(); ++g) {
-    hidden_k_ends_.push_back(hidden_spec_.GroupBoundary(g));
+    hidden_seg_ends_.push_back(hidden_spec_.GroupBoundary(g));
   }
 }
 
@@ -75,10 +75,10 @@ void Lstm::GateGemm(int gate, const float* x, int64_t m, const float* h,
   // z(B, n) = rescale_x * x(B, m) * Wx[0:n, 0:m]^T
   // z += rescale_h * h(B, n) * Wh[0:n, 0:n]^T
   if (int8) {
-    ops::GemmQuantizedB(false, batch, n, m, rescale_x_, x, m, qwx_t_[gate],
-                        0.0f, z, n);
-    ops::GemmQuantizedBEx(false, batch, n, n, rescale_h_, h, n, qwh_t_[gate],
-                          1.0f, z, n, epi);
+    ops::GemmQuantizedB(batch, n, m, rescale_x_, x, m, qwx_t_[gate], 0.0f,
+                        z, n);
+    ops::GemmQuantizedBEx(batch, n, n, rescale_h_, h, n, qwh_t_[gate], 1.0f,
+                          z, n, epi);
   } else {
     ops::GemmPrepackedB(false, batch, n, m, rescale_x_, x, m,
                         wx_pack_t_[gate], 0.0f, z, n);
@@ -118,11 +118,11 @@ Tensor Lstm::DoForward(const Tensor& x, bool training) {
       ops::EnsureQuantizedB(
           true, opts_.input_size, opts_.hidden_size,
           wx_.data() + gate * opts_.hidden_size * opts_.input_size,
-          opts_.input_size, in_k_ends_, &qwx_t_[gate]);
+          opts_.input_size, in_seg_ends_, &qwx_t_[gate]);
       ops::EnsureQuantizedB(
           true, opts_.hidden_size, opts_.hidden_size,
           wh_.data() + gate * opts_.hidden_size * opts_.hidden_size,
-          opts_.hidden_size, hidden_k_ends_, &qwh_t_[gate]);
+          opts_.hidden_size, hidden_seg_ends_, &qwh_t_[gate]);
     } else {
       ops::EnsurePackedB(
           true, opts_.input_size, opts_.hidden_size,

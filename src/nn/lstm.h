@@ -76,7 +76,7 @@ class Lstm : public Module {
   // Int8 forward path: quantized gate blocks, K segments on the input /
   // hidden slice-group boundaries so any rate reads a pack prefix.
   ops::QuantizedPack qwx_t_[4], qwh_t_[4];
-  std::vector<int64_t> in_k_ends_, hidden_k_ends_;
+  std::vector<int64_t> in_seg_ends_, hidden_seg_ends_;
 
   // Per-timestep caches from the last Forward (compact widths).
   struct StepCache {

@@ -402,109 +402,6 @@ void EncodeU7Avx2(const float* v, int64_t n, float lo, float inv,
   }
 }
 
-// 8 columns -> 8 contiguous rows via in-register 8x8 transposes; the
-// k % 8 tail rows go element-wise. When kMinMax is set, a per-column
-// min/max scan rides the same loads (lane j of the running accumulators
-// tracks column j), letting the quantizer skip its separate sweep over
-// the scratch rows; lo8/hi8 then receive 8 results each and k must be
-// >= 1. Seeded from row 0 and folded with vminps/vmaxps — value-equal to
-// the scalar seed-then-compare loop up to the +-0 tie caveat on
-// MinMaxF32Fn.
-template <bool kMinMax>
-void Transpose8ColImpl(const float* src, int64_t ld, int64_t k, float* dst,
-                       int64_t dst_stride, float* lo8, float* hi8) {
-  __m256 vlo = _mm256_setzero_ps();
-  __m256 vhi = _mm256_setzero_ps();
-  if (kMinMax) {
-    vlo = _mm256_loadu_ps(src);
-    vhi = vlo;
-  }
-  int64_t p = 0;
-  for (; p + 8 <= k; p += 8) {
-    __m256 r0 = _mm256_loadu_ps(src + (p + 0) * ld);
-    __m256 r1 = _mm256_loadu_ps(src + (p + 1) * ld);
-    __m256 r2 = _mm256_loadu_ps(src + (p + 2) * ld);
-    __m256 r3 = _mm256_loadu_ps(src + (p + 3) * ld);
-    __m256 r4 = _mm256_loadu_ps(src + (p + 4) * ld);
-    __m256 r5 = _mm256_loadu_ps(src + (p + 5) * ld);
-    __m256 r6 = _mm256_loadu_ps(src + (p + 6) * ld);
-    __m256 r7 = _mm256_loadu_ps(src + (p + 7) * ld);
-    if (kMinMax) {
-      vlo = _mm256_min_ps(vlo, r0);
-      vhi = _mm256_max_ps(vhi, r0);
-      vlo = _mm256_min_ps(vlo, r1);
-      vhi = _mm256_max_ps(vhi, r1);
-      vlo = _mm256_min_ps(vlo, r2);
-      vhi = _mm256_max_ps(vhi, r2);
-      vlo = _mm256_min_ps(vlo, r3);
-      vhi = _mm256_max_ps(vhi, r3);
-      vlo = _mm256_min_ps(vlo, r4);
-      vhi = _mm256_max_ps(vhi, r4);
-      vlo = _mm256_min_ps(vlo, r5);
-      vhi = _mm256_max_ps(vhi, r5);
-      vlo = _mm256_min_ps(vlo, r6);
-      vhi = _mm256_max_ps(vhi, r6);
-      vlo = _mm256_min_ps(vlo, r7);
-      vhi = _mm256_max_ps(vhi, r7);
-    }
-    __m256 t0 = _mm256_unpacklo_ps(r0, r1);
-    __m256 t1 = _mm256_unpackhi_ps(r0, r1);
-    __m256 t2 = _mm256_unpacklo_ps(r2, r3);
-    __m256 t3 = _mm256_unpackhi_ps(r2, r3);
-    __m256 t4 = _mm256_unpacklo_ps(r4, r5);
-    __m256 t5 = _mm256_unpackhi_ps(r4, r5);
-    __m256 t6 = _mm256_unpacklo_ps(r6, r7);
-    __m256 t7 = _mm256_unpackhi_ps(r6, r7);
-    __m256 s0 = _mm256_shuffle_ps(t0, t2, 0x44);
-    __m256 s1 = _mm256_shuffle_ps(t0, t2, 0xEE);
-    __m256 s2 = _mm256_shuffle_ps(t1, t3, 0x44);
-    __m256 s3 = _mm256_shuffle_ps(t1, t3, 0xEE);
-    __m256 s4 = _mm256_shuffle_ps(t4, t6, 0x44);
-    __m256 s5 = _mm256_shuffle_ps(t4, t6, 0xEE);
-    __m256 s6 = _mm256_shuffle_ps(t5, t7, 0x44);
-    __m256 s7 = _mm256_shuffle_ps(t5, t7, 0xEE);
-    _mm256_storeu_ps(dst + 0 * dst_stride + p,
-                     _mm256_permute2f128_ps(s0, s4, 0x20));
-    _mm256_storeu_ps(dst + 1 * dst_stride + p,
-                     _mm256_permute2f128_ps(s1, s5, 0x20));
-    _mm256_storeu_ps(dst + 2 * dst_stride + p,
-                     _mm256_permute2f128_ps(s2, s6, 0x20));
-    _mm256_storeu_ps(dst + 3 * dst_stride + p,
-                     _mm256_permute2f128_ps(s3, s7, 0x20));
-    _mm256_storeu_ps(dst + 4 * dst_stride + p,
-                     _mm256_permute2f128_ps(s0, s4, 0x31));
-    _mm256_storeu_ps(dst + 5 * dst_stride + p,
-                     _mm256_permute2f128_ps(s1, s5, 0x31));
-    _mm256_storeu_ps(dst + 6 * dst_stride + p,
-                     _mm256_permute2f128_ps(s2, s6, 0x31));
-    _mm256_storeu_ps(dst + 7 * dst_stride + p,
-                     _mm256_permute2f128_ps(s3, s7, 0x31));
-  }
-  for (; p < k; ++p) {
-    if (kMinMax) {
-      const __m256 v = _mm256_loadu_ps(src + p * ld);
-      vlo = _mm256_min_ps(vlo, v);
-      vhi = _mm256_max_ps(vhi, v);
-    }
-    for (int j = 0; j < 8; ++j) dst[j * dst_stride + p] = src[p * ld + j];
-  }
-  if (kMinMax) {
-    _mm256_storeu_ps(lo8, vlo);
-    _mm256_storeu_ps(hi8, vhi);
-  }
-}
-
-void Transpose8ColAvx2(const float* src, int64_t ld, int64_t k, float* dst,
-                       int64_t dst_stride) {
-  Transpose8ColImpl<false>(src, ld, k, dst, dst_stride, nullptr, nullptr);
-}
-
-void Transpose8ColMinMaxAvx2(const float* src, int64_t ld, int64_t k,
-                             float* dst, int64_t dst_stride, float* lo8,
-                             float* hi8) {
-  Transpose8ColImpl<true>(src, ld, k, dst, dst_stride, lo8, hi8);
-}
-
 /// Norm-statistics reduction: sum and sum-of-squares accumulated as 4
 // packed doubles (lane j holds elements p ≡ j mod 4), folded pairwise at
 // the end, scalar tail last. float->double widening is exact, so only the
@@ -603,16 +500,6 @@ EncodeU7Fn Avx2EncodeU7() {
   return supported ? &EncodeU7Avx2 : nullptr;
 }
 
-Transpose8ColFn Avx2Transpose8Col() {
-  static const bool supported = __builtin_cpu_supports("avx2");
-  return supported ? &Transpose8ColAvx2 : nullptr;
-}
-
-Transpose8ColMMFn Avx2Transpose8ColMinMax() {
-  static const bool supported = __builtin_cpu_supports("avx2");
-  return supported ? &Transpose8ColMinMaxAvx2 : nullptr;
-}
-
 Int8EpilogueFn Avx2Int8Epilogue() {
   static const bool supported = __builtin_cpu_supports("avx2");
   return supported ? &Int8EpilogueAvx2 : nullptr;
@@ -642,10 +529,6 @@ Int8SkinnyFn VnniInt8Kernel() { return nullptr; }
 MinMaxF32Fn Avx2MinMaxF32() { return nullptr; }
 
 EncodeU7Fn Avx2EncodeU7() { return nullptr; }
-
-Transpose8ColFn Avx2Transpose8Col() { return nullptr; }
-
-Transpose8ColMMFn Avx2Transpose8ColMinMax() { return nullptr; }
 
 Int8EpilogueFn Avx2Int8Epilogue() { return nullptr; }
 

@@ -106,21 +106,6 @@ using MinMaxF32Fn = void (*)(const float* v, int64_t n, float* lo,
 using EncodeU7Fn = void (*)(const float* v, int64_t n, float lo, float inv,
                             uint8_t* out);
 
-/// Gathers 8 columns of src (k rows, leading dimension ld) into 8
-/// contiguous rows: dst[j*dst_stride + p] = src[p*ld + j] for j < 8,
-/// p < k. Lets the column-quantizing (conv) path run the contiguous
-/// min/max + encode helpers instead of a strided scalar loop.
-using Transpose8ColFn = void (*)(const float* src, int64_t ld, int64_t k,
-                                 float* dst, int64_t dst_stride);
-
-/// Transpose8ColFn with the per-column min/max scan fused into the gather
-/// pass: lo8[j]/hi8[j] receive column j's min/max (value-equal to the
-/// seed-then-compare scalar loop up to the MinMaxF32Fn +-0 tie caveat),
-/// saving the quantizer a separate sweep over the scratch rows. k >= 1.
-using Transpose8ColMMFn = void (*)(const float* src, int64_t ld, int64_t k,
-                                   float* dst, int64_t dst_stride,
-                                   float* lo8, float* hi8);
-
 /// Dequant epilogue for one (row-chunk, segment) pair of a 16-column
 /// panel: ftile[i*16+c] += gs[c] * (as[i]*acc[i*16+c] + amin[i]*gsum[c])
 /// for i < mc. Multiplies and adds in the same order as the scalar loop
@@ -136,8 +121,6 @@ using Int8EpilogueFn = void (*)(int mc, const int32_t* acc,
 /// unavailable at runtime.
 MinMaxF32Fn Avx2MinMaxF32();
 EncodeU7Fn Avx2EncodeU7();
-Transpose8ColFn Avx2Transpose8Col();
-Transpose8ColMMFn Avx2Transpose8ColMinMax();
 Int8EpilogueFn Avx2Int8Epilogue();
 
 /// sum and sum-of-squares over n contiguous floats, accumulated in double

@@ -42,12 +42,12 @@ namespace {
 /// the int8 panel feeds one 32-byte madd load per k-pair regardless of
 /// which fp32 kernel this process runs.
 constexpr int kQNr = 16;
-/// Rows of op(A) processed per kernel pass; bounds the accumulator tile.
-/// Larger chunks amortize B-panel streaming (every chunk re-reads all
-/// panels), which dominates the conv-shaped WeightA path; 32 keeps the
-/// acc + ftile scratch at 4 KB total. Chunking does not affect results:
-/// the integer contraction is exact per row and the float epilogue order
-/// per element is unchanged.
+/// Rows of A processed per kernel pass; bounds the accumulator tile.
+/// Every chunk re-reads its B panel, so larger chunks amortize panel
+/// streaming at the batch sizes dense layers see; 32 keeps the acc +
+/// ftile scratch at 4 KB total. Chunking does not affect results: the
+/// integer contraction is exact per row and the float epilogue order per
+/// element is unchanged.
 constexpr int kQRowChunk = 32;
 
 std::atomic<uint64_t> g_qpacks{0};
@@ -132,28 +132,35 @@ void BetaMergeQEpi(int64_t m, int64_t n, float beta, float* c, int64_t ldc,
   }
 }
 
-/// Quantizes rows [i0, i1) of op(A) (m x k) into the segment-padded u8
-/// layout: row i at aq + i*row_bytes, segment g's quads at byte offset
-/// seg_quad_off[g]*4. One affine (min, scale) per row over the active k,
-/// codes in [0, 127]; aeff[i] = alpha * scale[i] and amineff[i] =
-/// alpha * min[i] feed the dequant epilogue directly. Padded positions
-/// hold code 0 — harmless because the matching weight bytes are 0, so
-/// both the integer products and the colsum correction ignore them.
-void QuantizeRowsPadded(bool trans_a, const float* a, int64_t lda,
-                        int64_t i0, int64_t i1, float alpha,
-                        const std::vector<int64_t>& seg_ends, int64_t s_act,
-                        const std::vector<int64_t>& seg_quad_off,
+/// Quantizes rows [i0, i1) of A (m x k, row-major) into the
+/// segment-padded u8 layout: row i at aq + i*row_bytes, segment g's quads
+/// at byte offset seg_quad_off[g]*4. One affine (min, scale) per row over
+/// the active k, codes in [0, 127]; aeff[i] = alpha * scale[i] and
+/// amineff[i] = alpha * min[i] feed the dequant epilogue directly. Padded
+/// positions hold code 0 — harmless because the matching weight bytes are
+/// 0, so both the integer products and the colsum correction ignore them.
+/// The AVX2 and scalar flavors are element-exact (vcvtps2dq and lrintf
+/// share round-to-nearest-even), so the dispatch is pure speed.
+void QuantizeRowsPadded(const float* a, int64_t lda, int64_t i0, int64_t i1,
+                        float alpha, const std::vector<int64_t>& seg_ends,
+                        int64_t s_act, const std::vector<int64_t>& seg_quad_off,
                         int64_t row_bytes, uint8_t* aq, float* aeff,
                         float* amineff) {
   const int64_t k = seg_ends[static_cast<size_t>(s_act - 1)];
   const detail::MinMaxF32Fn minmax_fn = detail::Avx2MinMaxF32();
   const detail::EncodeU7Fn encode_fn = detail::Avx2EncodeU7();
-
-  // One contiguous source row -> one padded u8 row. Element-exact across
-  // the AVX2 and scalar flavors (vcvtps2dq and lrintf share
-  // round-to-nearest-even), so the dispatch is pure speed.
-  const auto quant_row_bounded = [&](int64_t i, const float* arow, float lo,
-                                     float hi) {
+  for (int64_t i = i0; i < i1; ++i) {
+    const float* arow = a + i * lda;
+    float lo = 0.0f, hi = 0.0f;
+    if (minmax_fn != nullptr) {
+      minmax_fn(arow, k, &lo, &hi);
+    } else {
+      for (int64_t p = 0; p < k; ++p) {
+        const float v = arow[p];
+        if (p == 0 || v < lo) lo = v;
+        if (p == 0 || v > hi) hi = v;
+      }
+    }
     const float scale = (hi - lo) / 127.0f;
     aeff[i] = alpha * scale;
     amineff[i] = alpha * lo;
@@ -174,69 +181,7 @@ void QuantizeRowsPadded(bool trans_a, const float* a, int64_t lda,
       }
       while (idx & 3) seg[idx++] = 0;  // pad segments to a full quad
     }
-  };
-  const auto quant_row = [&](int64_t i, const float* arow) {
-    float lo = 0.0f, hi = 0.0f;
-    if (minmax_fn != nullptr) {
-      minmax_fn(arow, k, &lo, &hi);
-    } else {
-      for (int64_t p = 0; p < k; ++p) {
-        const float v = arow[p];
-        if (p == 0 || v < lo) lo = v;
-        if (p == 0 || v > hi) hi = v;
-      }
-    }
-    quant_row_bounded(i, arow, lo, hi);
-  };
-  // Strided fallback for op(A) columns no 8-wide transpose covers.
-  const auto quant_col_scalar = [&](int64_t i) {
-    float lo = 0.0f, hi = 0.0f;
-    for (int64_t p = 0; p < k; ++p) {
-      const float v = a[p * lda + i];
-      if (p == 0 || v < lo) lo = v;
-      if (p == 0 || v > hi) hi = v;
-    }
-    const float scale = (hi - lo) / 127.0f;
-    aeff[i] = alpha * scale;
-    amineff[i] = alpha * lo;
-    const float inv = scale > 0.0f ? 1.0f / scale : 0.0f;
-    uint8_t* row = aq + i * row_bytes;
-    for (int64_t g = 0; g < s_act; ++g) {
-      const int64_t s0 = g > 0 ? seg_ends[static_cast<size_t>(g - 1)] : 0;
-      const int64_t s1 = seg_ends[static_cast<size_t>(g)];
-      uint8_t* seg = row + seg_quad_off[static_cast<size_t>(g)] * 4;
-      int64_t idx = 0;
-      for (int64_t p = s0; p < s1; ++p) {
-        seg[idx++] = QuantizeValueU7(a[p * lda + i], lo, inv);
-      }
-      while (idx & 3) seg[idx++] = 0;
-    }
-  };
-
-  if (!trans_a) {
-    for (int64_t i = i0; i < i1; ++i) quant_row(i, a + i * lda);
-    return;
   }
-  // Transposed source (the conv path quantizes op(A) COLUMNS): gather 8
-  // columns at a time into contiguous scratch rows so the vector encode
-  // loop applies, with the per-column min/max scan fused into the gather
-  // pass; leftover columns take the strided scalar loop. Same per-element
-  // math either way.
-  const detail::Transpose8ColMMFn tpose_fn = detail::Avx2Transpose8ColMinMax();
-  int64_t i = i0;
-  if (tpose_fn != nullptr && encode_fn != nullptr && i1 - i0 >= 8 && k > 0) {
-    ScratchArena& arena = ScratchArena::ForThread();
-    ScratchArena::Scope scope(arena);
-    float* tp = arena.Alloc(8 * k);
-    float lo8[8], hi8[8];
-    for (; i + 8 <= i1; i += 8) {
-      tpose_fn(a + i, lda, k, tp, k, lo8, hi8);
-      for (int j = 0; j < 8; ++j) {
-        quant_row_bounded(i + j, tp + j * k, lo8[j], hi8[j]);
-      }
-    }
-  }
-  for (; i < i1; ++i) quant_col_scalar(i);
 }
 
 /// Number of whole segments covered by the sliced k; dies unless k lands
@@ -382,18 +327,15 @@ bool EnsureQuantizedB(bool trans_b, int64_t k, int64_t n, const float* b,
   return true;
 }
 
-void GemmQuantizedB(bool trans_a, int64_t m, int64_t n, int64_t k,
-                    float alpha, const float* a, int64_t lda,
-                    const QuantizedPack& bpack, float beta, float* c,
-                    int64_t ldc) {
-  GemmQuantizedBEx(trans_a, m, n, k, alpha, a, lda, bpack, beta, c, ldc,
-                   Epilogue{});
+void GemmQuantizedB(int64_t m, int64_t n, int64_t k, float alpha,
+                    const float* a, int64_t lda, const QuantizedPack& bpack,
+                    float beta, float* c, int64_t ldc) {
+  GemmQuantizedBEx(m, n, k, alpha, a, lda, bpack, beta, c, ldc, Epilogue{});
 }
 
-void GemmQuantizedBEx(bool trans_a, int64_t m, int64_t n, int64_t k,
-                      float alpha, const float* a, int64_t lda,
-                      const QuantizedPack& bpack, float beta, float* c,
-                      int64_t ldc, const Epilogue& epi) {
+void GemmQuantizedBEx(int64_t m, int64_t n, int64_t k, float alpha,
+                      const float* a, int64_t lda, const QuantizedPack& bpack,
+                      float beta, float* c, int64_t ldc, const Epilogue& epi) {
   MS_CHECK(bpack.valid_);
   MS_CHECK_MSG(beta == 0.0f || beta == 1.0f,
                "GemmQuantizedB supports beta in {0, 1}");
@@ -420,14 +362,12 @@ void GemmQuantizedBEx(bool trans_a, int64_t m, int64_t n, int64_t k,
   float* amineff = arena.Alloc(m);
 
   auto quant_rows = [&](int64_t i0, int64_t i1) {
-    QuantizeRowsPadded(trans_a, a, lda, i0, i1, alpha, bpack.seg_ends_,
-                       s_act, bpack.seg_quad_off_, row_bytes, aq, aeff,
-                       amineff);
+    QuantizeRowsPadded(a, lda, i0, i1, alpha, bpack.seg_ends_, s_act,
+                       bpack.seg_quad_off_, row_bytes, aq, aeff, amineff);
   };
   const int64_t flops = 2 * m * n * k;
-  // Quantization makes ~3 passes per element (min/max, encode, and for
-  // the transposed flavor a gather), so weigh it at 6 ops/element when
-  // deciding to fan out.
+  // Quantization makes two passes per element (min/max, encode) of a few
+  // ops each, so weigh it at 6 ops/element when deciding to fan out.
   if (WorthParallel(6 * m * k, m)) {
     ParallelForCompute(m, quant_rows);
   } else {
@@ -489,153 +429,6 @@ void GemmQuantizedBEx(bool trans_a, int64_t m, int64_t n, int64_t k,
     ParallelForCompute(n_panels, run);
   } else {
     run(0, n_panels);
-  }
-}
-
-void GemmQuantizedWeightA(int64_t m, int64_t n, int64_t k,
-                          const QuantizedPack& wpack_t, const float* b,
-                          int64_t ldb, float beta, float* c, int64_t ldc) {
-  GemmQuantizedWeightAEx(m, n, k, wpack_t, b, ldb, beta, c, ldc, Epilogue{});
-}
-
-void GemmQuantizedWeightAEx(int64_t m, int64_t n, int64_t k,
-                            const QuantizedPack& wpack_t, const float* b,
-                            int64_t ldb, float beta, float* c, int64_t ldc,
-                            const Epilogue& epi) {
-  MS_CHECK(wpack_t.valid_);
-  MS_CHECK_MSG(beta == 0.0f || beta == 1.0f,
-               "GemmQuantizedWeightA supports beta in {0, 1}");
-  MS_CHECK(k <= wpack_t.rows_ && m <= wpack_t.cols_);
-  if (m <= 0 || n <= 0) return;
-  g_qgemm_calls.fetch_add(1, std::memory_order_relaxed);
-  const int64_t s_act = ActiveSegments(wpack_t.seg_ends_, k);
-  if (s_act == 0) {
-    BetaMergeQEpi(m, n, beta, c, ldc, epi);
-    return;
-  }
-  const int64_t s_count = static_cast<int64_t>(wpack_t.seg_ends_.size());
-  const int64_t row_bytes = wpack_t.seg_quad_off_.back() * 4;
-  const int64_t panel_bytes = row_bytes * kQNr;
-  const int64_t m_panels = detail::CeilDiv(m, kQNr);
-  const detail::Int8SkinnyFn kernel = ActiveInt8Kernel();
-  const detail::Int8EpilogueFn epilogue = detail::Avx2Int8Epilogue();
-  const detail::Transpose8ColFn tpose = detail::Avx2Transpose8Col();
-
-  ScratchArena& arena = ScratchArena::ForThread();
-  ScratchArena::Scope scope(arena);
-  // "Rows" of the transposed problem are b's columns (output pixels):
-  // quantize each column of b over the active k with one dynamic affine.
-  uint8_t* bq = reinterpret_cast<uint8_t*>(
-      arena.Alloc(detail::CeilDiv(n * row_bytes, 4)));
-  float* beff = arena.Alloc(n);
-  float* bmineff = arena.Alloc(n);
-  auto quant_cols = [&](int64_t i0, int64_t i1) {
-    QuantizeRowsPadded(/*trans_a=*/true, b, ldb, i0, i1, /*alpha=*/1.0f,
-                       wpack_t.seg_ends_, s_act, wpack_t.seg_quad_off_,
-                       row_bytes, bq, beff, bmineff);
-  };
-  const int64_t flops = 2 * m * n * k;
-  // Same 6 ops/element weighting as GemmQuantizedB: the column quantize
-  // streams the whole im2col matrix, which serial execution leaves as
-  // the dominant cost of conv-shaped calls.
-  if (WorthParallel(6 * n * k, n)) {
-    ParallelForCompute(n, quant_cols);
-  } else {
-    quant_cols(0, n);
-  }
-
-  // Pixel chunks own disjoint column ranges of every C row, so the
-  // parallel partition below writes disjoint memory.
-  const int64_t n_chunks = detail::CeilDiv(n, kQRowChunk);
-  auto run = [&](int64_t ch0, int64_t ch1) {
-    alignas(64) int32_t acc[kQRowChunk * kQNr];
-    float ftile[kQRowChunk * kQNr];
-    for (int64_t chunk = ch0; chunk < ch1; ++chunk) {
-      const int64_t i0 = chunk * kQRowChunk;
-      const int mc = static_cast<int>(std::min<int64_t>(kQRowChunk, n - i0));
-      for (int64_t pj = 0; pj < m_panels; ++pj) {
-        const int8_t* panel = wpack_t.data_ + pj * panel_bytes;
-        const float* pscales = wpack_t.scales_.data() + pj * s_count * kQNr;
-        const int32_t* psums =
-            wpack_t.colsums_.data() + pj * s_count * kQNr;
-        const int64_t j0 = pj * kQNr;
-        const int64_t live = std::min<int64_t>(kQNr, m - j0);
-        std::fill(ftile, ftile + mc * kQNr, 0.0f);
-        for (int64_t g = 0; g < s_act; ++g) {
-          const int64_t off = wpack_t.seg_quad_off_[static_cast<size_t>(g)];
-          const int64_t quads =
-              wpack_t.seg_quad_off_[static_cast<size_t>(g + 1)] - off;
-          kernel(quads, mc, bq + i0 * row_bytes + off * 4, row_bytes,
-                 panel + off * 4 * kQNr, acc);
-          const float* gs = pscales + g * kQNr;
-          const int32_t* gsum = psums + g * kQNr;
-          if (epilogue != nullptr) {
-            epilogue(mc, acc, gs, gsum, beff + i0, bmineff + i0, ftile);
-            continue;
-          }
-          for (int i = 0; i < mc; ++i) {
-            const float bs = beff[i0 + i];
-            const float bmin = bmineff[i0 + i];
-            for (int cc = 0; cc < kQNr; ++cc) {
-              ftile[i * kQNr + cc] +=
-                  gs[cc] * (bs * static_cast<float>(acc[i * kQNr + cc]) +
-                            bmin * static_cast<float>(gsum[cc]));
-            }
-          }
-        }
-        // Transposed merge: ftile rows are pixels, lanes are W rows (C's
-        // rows): C[j0+cc][i0+i] = ftile[i][cc]. Full 8x8 blocks of the
-        // overwrite flavor go through the vector transpose straight into
-        // C; everything else (beta == 1, ragged edges) stays scalar —
-        // same element moves either way. The overwrite epilogue applies in
-        // ftile before the transpose (per element, same float either
-        // side); the accumulate flavor applies at the scalar merge below.
-        if (!epi.empty() && beta == 0.0f) {
-          // ftile axes are swapped vs C (rows are pixels / C columns), so
-          // flip per_row and the indexing collapses to the same idx per
-          // element: per_row bias follows the cc axis (C rows, offset
-          // j0), per-column follows the broadcast i0 + i.
-          Epilogue epi_t = epi;
-          epi_t.per_row = !epi.per_row;
-          for (int i = 0; i < mc; ++i) {
-            detail::EpiApplyRow(epi_t, i0 + i, j0, live, ftile + i * kQNr);
-          }
-        }
-        int64_t cc0 = 0;
-        if (tpose != nullptr && beta == 0.0f) {
-          for (; cc0 + 8 <= live; cc0 += 8) {
-            int i = 0;
-            for (; i + 8 <= mc; i += 8) {
-              tpose(ftile + i * kQNr + cc0, kQNr, 8,
-                    c + (j0 + cc0) * ldc + i0 + i, ldc);
-            }
-            for (; i < mc; ++i) {
-              for (int64_t cc = cc0; cc < cc0 + 8; ++cc) {
-                c[(j0 + cc) * ldc + i0 + i] = ftile[i * kQNr + cc];
-              }
-            }
-          }
-        }
-        for (int64_t cc = cc0; cc < live; ++cc) {
-          float* crow = c + (j0 + cc) * ldc + i0;
-          if (beta == 0.0f) {
-            for (int i = 0; i < mc; ++i) crow[i] = ftile[i * kQNr + cc];
-          } else {
-            for (int i = 0; i < mc; ++i) crow[i] += ftile[i * kQNr + cc];
-            if (!epi.empty()) {
-              // crow runs along C columns with the C row fixed at
-              // j0 + cc, which is exactly EpiApplyRow's contract.
-              detail::EpiApplyRow(epi, j0 + cc, i0, mc, crow);
-            }
-          }
-        }
-      }
-    }
-  };
-  if (WorthParallel(flops, n_chunks)) {
-    ParallelForCompute(n_chunks, run);
-  } else {
-    run(0, n_chunks);
   }
 }
 

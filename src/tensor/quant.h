@@ -1,6 +1,12 @@
 // Per-group symmetric int8 weight quantization with dynamic per-row
 // activation quantization — the second elastic axis next to the slice rate.
 //
+// One operand role: the weight is the right operand (C = A * W^T), which
+// is how Dense, Lstm and Gru contract. Conv2d runs its fp32 implicit GEMM
+// at int8 precision: quantizing each output pixel's im2col column cost
+// more than the integer contraction saved, so int8 conv measured slower
+// than fp32 at every rate on vgg13 (0.38-0.67x).
+//
 // Scale layout (the part that makes quantization commute with slicing):
 // the contraction dimension K of op(B) is partitioned into the layer's
 // input slice-group segments, and every (segment, output column) gets its
@@ -19,7 +25,7 @@
 // integer contraction, so results are identical bits either way.
 //
 // Activations are quantized dynamically and ASYMMETRICALLY to 7 bits: one
-// affine (min, scale) per op(A) row over the active K prefix, codes in
+// affine (min, scale) per A row over the active K prefix, codes in
 // [0, 127]. The 7-bit bound is what makes the maddubs pair sums provably
 // saturation-free (2 * 127 * 127 = 32258 < 32767); the affine offset is
 // exact because a = a_min + a_scale * q folds through the contraction as
@@ -95,19 +101,12 @@ class QuantizedPack {
                             const std::vector<int64_t>&, QuantizedPack*);
   friend bool EnsureQuantizedB(bool, int64_t, int64_t, const float*, int64_t,
                                const std::vector<int64_t>&, QuantizedPack*);
-  friend void GemmQuantizedB(bool, int64_t, int64_t, int64_t, float,
-                             const float*, int64_t, const QuantizedPack&,
-                             float, float*, int64_t);
-  friend void GemmQuantizedBEx(bool, int64_t, int64_t, int64_t, float,
+  friend void GemmQuantizedB(int64_t, int64_t, int64_t, float, const float*,
+                             int64_t, const QuantizedPack&, float, float*,
+                             int64_t);
+  friend void GemmQuantizedBEx(int64_t, int64_t, int64_t, float,
                                const float*, int64_t, const QuantizedPack&,
                                float, float*, int64_t, const Epilogue&);
-  friend void GemmQuantizedWeightA(int64_t, int64_t, int64_t,
-                                   const QuantizedPack&, const float*,
-                                   int64_t, float, float*, int64_t);
-  friend void GemmQuantizedWeightAEx(int64_t, int64_t, int64_t,
-                                     const QuantizedPack&, const float*,
-                                     int64_t, float, float*, int64_t,
-                                     const Epilogue&);
 
   /// 64-byte-aligned buffer of at least `bytes` (reuses the existing
   /// allocation when large enough).
@@ -153,41 +152,22 @@ bool EnsureQuantizedB(bool trans_b, int64_t k, int64_t n, const float* b,
                       int64_t ldb, const std::vector<int64_t>& k_group_ends,
                       QuantizedPack* pack);
 
-/// C = alpha * op(A) * Bq[:k, :n] + beta * C over the quantized pack.
-/// op(A) is dynamically quantized per row (one symmetric scale over the
-/// active k). k must be one of the pack's segment ends; n any prefix.
-/// beta must be 0 or 1 (the only values the layers use). Results are
-/// identical at every thread count and kernel flavor (AVX2/portable).
-void GemmQuantizedB(bool trans_a, int64_t m, int64_t n, int64_t k,
-                    float alpha, const float* a, int64_t lda,
-                    const QuantizedPack& bpack, float beta, float* c,
-                    int64_t ldc);
+/// C = alpha * A * Bq[:k, :n] + beta * C over the quantized pack, with A
+/// row-major (m x k, leading dimension lda). Each A row is dynamically
+/// quantized (one affine over the active k). k must be one of the pack's
+/// segment ends; n any prefix. beta must be 0 or 1 (the only values the
+/// layers use). Results are identical at every thread count and kernel
+/// flavor (VNNI/AVX2/portable).
+void GemmQuantizedB(int64_t m, int64_t n, int64_t k, float alpha,
+                    const float* a, int64_t lda, const QuantizedPack& bpack,
+                    float beta, float* c, int64_t ldc);
 
 /// GemmQuantizedB with a fused epilogue applied at the dequantized-tile
 /// merge into C; bitwise identical to GemmQuantizedB followed by the same
 /// per-element post-pass (epilogue.h), at any thread count.
-void GemmQuantizedBEx(bool trans_a, int64_t m, int64_t n, int64_t k,
-                      float alpha, const float* a, int64_t lda,
-                      const QuantizedPack& bpack, float beta, float* c,
-                      int64_t ldc, const Epilogue& epi);
-
-/// Conv flavor, weight on the left: C(m, n) = W[:m, :k] * b[:k, :n] +
-/// beta * C, where `wpack_t` packs op(B) = W^T — i.e. the SAME
-/// QuantizePackB(trans_b=true, K, M, w, K, ends) call the dense layers
-/// use. Internally computes C^T = op(b)^T * W^T with per-column (per
-/// output pixel) dynamic quantization of b and a transposed merge, so one
-/// pack format serves both operand roles. beta must be 0 or 1.
-void GemmQuantizedWeightA(int64_t m, int64_t n, int64_t k,
-                          const QuantizedPack& wpack_t, const float* b,
-                          int64_t ldb, float beta, float* c, int64_t ldc);
-
-/// GemmQuantizedWeightA with a fused epilogue (conv bias is the per_row
-/// case: one value per output channel / C row). Bitwise identical to the
-/// unfused call followed by the same post-pass.
-void GemmQuantizedWeightAEx(int64_t m, int64_t n, int64_t k,
-                            const QuantizedPack& wpack_t, const float* b,
-                            int64_t ldb, float beta, float* c, int64_t ldc,
-                            const Epilogue& epi);
+void GemmQuantizedBEx(int64_t m, int64_t n, int64_t k, float alpha,
+                      const float* a, int64_t lda, const QuantizedPack& bpack,
+                      float beta, float* c, int64_t ldc, const Epilogue& epi);
 
 /// True when the int8 path runs the AVX2 madd kernel in this process.
 bool GemmHasInt8Avx2();
@@ -205,7 +185,7 @@ struct QuantStats {
   uint64_t packs = 0;            ///< QuantizePackB/Ensure* that packed
   uint64_t packed_bytes = 0;     ///< quantized bytes written by those packs
   uint64_t hits = 0;             ///< Ensure* calls satisfied by the cache
-  uint64_t quantized_calls = 0;  ///< GemmQuantized{B,WeightA} invocations
+  uint64_t quantized_calls = 0;  ///< GemmQuantizedB{,Ex} invocations
 };
 
 QuantStats GetQuantStats();

@@ -31,9 +31,9 @@ struct Conv2dSpec {
 
 /// im2col: x (C,H,W) -> cols (C*k*k, OH*OW). Active channel count may be a
 /// prefix slice of the full tensor's channel dim (channels <= x channels).
-/// The conv layer uses it for the backward pass and the int8 forward; the
-/// fp32 forward fills its GEMM panels from a padded input instead
-/// (GemmPrepackedAConv), with bitwise the same result.
+/// The conv layer uses it for the backward pass only; the forward fills
+/// its GEMM panels from a padded input instead (GemmPrepackedAConv), with
+/// bitwise the same result.
 void Im2Col(const float* x, int64_t channels, int64_t h, int64_t w,
             int64_t kernel, int64_t stride, int64_t pad, float* cols);
 

@@ -3,11 +3,11 @@
 //
 // The contract under test:
 //   * Every Ex entry point (GemmEx, GemmPrepackedBEx, GemmPrepackedAEx,
-//     GemmQuantizedBEx, GemmQuantizedWeightAEx) is bitwise identical to
-//     its unfused sibling followed by the same per-element post-pass
-//     (detail::EpiApply), for every epilogue shape (bias per-row/per-col,
-//     scale-shift, each activation), transpose combination, slice prefix,
-//     and thread count. GemmRefEx is the independent oracle for GemmEx.
+//     GemmQuantizedBEx) is bitwise identical to its unfused sibling
+//     followed by the same per-element post-pass (detail::EpiApply), for
+//     every epilogue shape (bias per-row/per-col, scale-shift, each
+//     activation), transpose combination, slice prefix, and thread count.
+//     GemmRefEx is the independent oracle for GemmEx.
 //   * PlanActivations never aliases overlapping lifetimes, reuses bytes
 //     for disjoint ones, and packed_bytes >= peak_live_bytes always.
 //   * With an arena bound (and planned), model forwards are bitwise equal
@@ -264,50 +264,17 @@ TEST(FusedGemm, QuantizedBExMatchesUnfusedPlusPostPass) {
           const Epilogue epi = vecs.Build(cfg);
           for (float beta : {0.0f, 1.0f}) {
             Tensor c_ref = c0;
-            ops::GemmQuantizedB(false, m, n, k, 1.0f, a.data(), k_full,
-                                pack, beta, c_ref.data(), n);
+            ops::GemmQuantizedB(m, n, k, 1.0f, a.data(), k_full, pack,
+                                beta, c_ref.data(), n);
             ApplyEpilogueReference(epi, m, n, c_ref.data(), n);
             for (int threads : {1, 3}) {
               ops::SetComputeThreads(threads);
               Tensor c = c0;
-              ops::GemmQuantizedBEx(false, m, n, k, 1.0f, a.data(), k_full,
-                                    pack, beta, c.data(), n, epi);
+              ops::GemmQuantizedBEx(m, n, k, 1.0f, a.data(), k_full, pack,
+                                    beta, c.data(), n, epi);
               ExpectBitwise(c, c_ref, "GemmQuantizedBEx");
             }
           }
-        }
-      }
-    }
-  }
-}
-
-TEST(FusedGemm, QuantizedWeightAExMatchesUnfusedPlusPostPass) {
-  GlobalStateGuard guard;
-  Rng rng(405);
-  // Conv shape: C(m, n) = W[:m, :k] * b[:k, :n]; the pack holds W^T.
-  const int64_t m_full = 24, n = 30, k_full = 32;
-  const std::vector<int64_t> ends = {16, 32};
-  Tensor w = Tensor::Randn({m_full, k_full}, &rng);
-  Tensor b = Tensor::Randn({k_full, n}, &rng);
-  ops::QuantizedPack pack;
-  // Same call the conv layers make: pack op(B) = W^T via trans_b.
-  ops::EnsureQuantizedB(true, k_full, m_full, w.data(), k_full, ends, &pack);
-  EpiVectors vecs = MakeEpiVectors(std::max(m_full, n), &rng);
-  for (int64_t k : {int64_t{16}, k_full}) {
-    Tensor c0 = Tensor::Randn({m_full, n}, &rng);
-    for (const EpiConfig& cfg : AllEpiConfigs()) {
-      const Epilogue epi = vecs.Build(cfg);
-      for (float beta : {0.0f, 1.0f}) {
-        Tensor c_ref = c0;
-        ops::GemmQuantizedWeightA(m_full, n, k, pack, b.data(), n, beta,
-                                  c_ref.data(), n);
-        ApplyEpilogueReference(epi, m_full, n, c_ref.data(), n);
-        for (int threads : {1, 3}) {
-          ops::SetComputeThreads(threads);
-          Tensor c = c0;
-          ops::GemmQuantizedWeightAEx(m_full, n, k, pack, b.data(), n, beta,
-                                      c.data(), n, epi);
-          ExpectBitwise(c, c_ref, "GemmQuantizedWeightAEx");
         }
       }
     }

@@ -263,8 +263,9 @@ std::unique_ptr<Conv2d> OracleConv(Conv2dOptions opts, uint64_t seed) {
   return conv;
 }
 
-// Forward == oracle, bitwise, in every mode at threads {1, 4}. Returns the
-// number of forwards checked.
+// Forward == oracle, bitwise, in every mode at threads {1, 4} and at both
+// precisions (the conv runs fp32 at int8, so one fp32 oracle serves
+// both). Returns the number of forwards checked.
 int ExpectMatchesOracle(Conv2d* conv, const Tensor& x,
                         const std::string& what) {
   int checked = 0;
@@ -272,24 +273,28 @@ int ExpectMatchesOracle(Conv2d* conv, const Tensor& x,
        {ConvMode::kFused, ConvMode::kUnfused, ConvMode::kTraining}) {
     const Tensor ref = Im2ColGemmOracle(*conv, x, mode);
     ops::SetFuseEpilogues(mode == ConvMode::kFused);
-    for (int threads : {1, 4}) {
-      ops::SetComputeThreads(threads);
-      Tensor y = conv->Forward(x, mode == ConvMode::kTraining);
-      EXPECT_EQ(y.size(), ref.size()) << what;
-      if (y.size() != ref.size()) continue;
-      EXPECT_TRUE(Bitwise(y.data(), ref.data(), y.size()))
-          << what << " mode=" << static_cast<int>(mode)
-          << " threads=" << threads;
-      ++checked;
+    for (Precision p : {Precision::kFp32, Precision::kInt8}) {
+      conv->SetPrecision(p);
+      for (int threads : {1, 4}) {
+        ops::SetComputeThreads(threads);
+        Tensor y = conv->Forward(x, mode == ConvMode::kTraining);
+        EXPECT_EQ(y.size(), ref.size()) << what;
+        if (y.size() != ref.size()) continue;
+        EXPECT_TRUE(Bitwise(y.data(), ref.data(), y.size()))
+            << what << " mode=" << static_cast<int>(mode)
+            << " precision=" << PrecisionName(p) << " threads=" << threads;
+        ++checked;
+      }
     }
   }
+  conv->SetPrecision(Precision::kFp32);
   return checked;
 }
 
-// The conv forward (implicit GEMM over a padded input in fp32) equals an
-// independent Im2Col + GemmRefEx oracle bitwise, over strides, pads,
-// kernels, odd and tiny inputs, rates, conv groups, fusion and training
-// modes, batches and thread counts.
+// The conv forward (implicit GEMM over a padded input, fp32 at both
+// precisions) equals an independent Im2Col + GemmRefEx oracle bitwise,
+// over strides, pads, kernels, odd and tiny inputs, rates, conv groups,
+// fusion and training modes, precisions, batches and thread counts.
 TEST(ConvContract, MatchesIm2ColGemmOracle) {
   GlobalStateGuard guard;
   constexpr int64_t kChannels = 8;
@@ -338,7 +343,7 @@ TEST(ConvContract, MatchesIm2ColGemmOracle) {
       }
     }
   }
-  EXPECT_GT(checked, 1000);
+  EXPECT_GT(checked, 2000);
 
   // Large enough for the GEMM's own cell split at batch 1 (2 row bands x
   // 2 column bands) and for the last panel to over-read the tail.

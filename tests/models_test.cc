@@ -1,12 +1,22 @@
 // Structural tests for the model builders and the zoo: output shapes,
-// slicing propagation, parameter sharing and config validation.
+// slicing propagation, parameter sharing, config validation, and the
+// batch-invariance contract.
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/models/cnn.h"
 #include "src/models/mlp.h"
 #include "src/models/nnlm.h"
 #include "src/models/zoo.h"
+#include "src/nn/dense.h"
+#include "src/nn/gru.h"
+#include "src/nn/lstm.h"
+#include "src/tensor/epilogue.h"
+#include "src/tensor/gemm.h"
 #include "src/util/rng.h"
 
 namespace ms {
@@ -208,6 +218,139 @@ TEST(ScaledWidth, RoundsAndClamps) {
   EXPECT_EQ(ScaledWidth(16, 1.0), 16);
   EXPECT_EQ(ScaledWidth(3, 0.01), 1);  // clamped to >= 1
   EXPECT_EQ(ScaledWidth(10, 0.25), 3); // round(2.5) == 3 (llround up)
+}
+
+// Item i along `batch_dim` of an (outer..., batch, inner...) tensor, as a
+// tensor with a batch of one.
+Tensor TakeBatchItem(const Tensor& t, size_t batch_dim, int64_t i) {
+  std::vector<int64_t> shape = t.shape();
+  const int64_t batch = shape[batch_dim];
+  int64_t outer = 1, inner = 1;
+  for (size_t d = 0; d < batch_dim; ++d) outer *= shape[d];
+  for (size_t d = batch_dim + 1; d < shape.size(); ++d) inner *= shape[d];
+  shape[batch_dim] = 1;
+  Tensor item(shape);
+  for (int64_t o = 0; o < outer; ++o) {
+    std::memcpy(item.data() + o * inner, t.data() + (o * batch + i) * inner,
+                static_cast<size_t>(inner) * sizeof(float));
+  }
+  return item;
+}
+
+struct BatchInvariantCase {
+  std::string name;
+  std::unique_ptr<Module> net;
+  /// Input shape at the current slice rate, with the batch dimension set.
+  std::function<std::vector<int64_t>(int64_t batch)> input_shape;
+  size_t batch_dim;  ///< 0 for (B, ...) inputs, 1 for (T, B, F) sequences.
+};
+
+std::vector<BatchInvariantCase> BatchInvariantCases() {
+  std::vector<BatchInvariantCase> cases;
+  const auto image = [](int64_t b) { return std::vector<int64_t>{b, 3, 8, 8}; };
+
+  DenseOptions dopts;
+  dopts.in_features = 24;
+  dopts.out_features = 40;
+  dopts.groups = 4;
+  Rng rng(90);
+  auto dense = std::make_unique<Dense>(dopts, &rng, "dense");
+  Dense* d = dense.get();
+  cases.push_back({"dense", std::move(dense),
+                   [d](int64_t b) {
+                     return std::vector<int64_t>{b, d->active_in()};
+                   },
+                   0});
+
+  constexpr int64_t kSteps = 3;
+  LstmOptions lopts;
+  lopts.input_size = 12;
+  lopts.hidden_size = 16;
+  lopts.groups = 4;
+  auto lstm = std::make_unique<Lstm>(lopts, &rng, "lstm");
+  Lstm* l = lstm.get();
+  cases.push_back({"lstm", std::move(lstm),
+                   [l](int64_t b) {
+                     return std::vector<int64_t>{kSteps, b, l->active_in()};
+                   },
+                   1});
+
+  GruOptions gopts;
+  gopts.input_size = 12;
+  gopts.hidden_size = 16;
+  gopts.groups = 4;
+  auto gru = std::make_unique<Gru>(gopts, &rng, "gru");
+  Gru* g = gru.get();
+  cases.push_back({"gru", std::move(gru),
+                   [g](int64_t b) {
+                     return std::vector<int64_t>{kSteps, b, g->active_in()};
+                   },
+                   1});
+
+  MlpConfig mcfg;
+  mcfg.in_features = 12;
+  mcfg.hidden = {32, 32};
+  mcfg.num_classes = 5;
+  mcfg.slice_groups = 4;
+  mcfg.group_norm = true;
+  cases.push_back({"mlp-groupnorm", MakeMlp(mcfg).MoveValueOrDie(),
+                   [](int64_t b) { return std::vector<int64_t>{b, 12}; }, 0});
+
+  CnnConfig vgg_bn = SmallCnn();
+  vgg_bn.norm = NormKind::kBatch;
+  cases.push_back(
+      {"vgg-groupnorm", MakeVggSmall(SmallCnn()).MoveValueOrDie(), image, 0});
+  cases.push_back(
+      {"vgg-batchnorm", MakeVggSmall(vgg_bn).MoveValueOrDie(), image, 0});
+  cases.push_back(
+      {"resnet", MakeResNet(SmallCnn()).MoveValueOrDie(), image, 0});
+  return cases;
+}
+
+// Batch invariance as a contract: item i of Forward(batch) is bitwise
+// Forward(item i), for the layers with an int8 path and for whole models,
+// at both precisions, thread counts {1, 4}, fusion on and off, and several
+// rates and batch sizes.
+TEST(ModelContract, BatchInvariant) {
+  const int saved_threads = ops::ComputeThreads();
+  const bool saved_fuse = ops::FuseEpiloguesEnabled();
+  int checked = 0;
+  for (BatchInvariantCase& c : BatchInvariantCases()) {
+    Rng rng(91);
+    for (Precision p : {Precision::kFp32, Precision::kInt8}) {
+      c.net->SetPrecision(p);
+      for (int threads : {1, 4}) {
+        ops::SetComputeThreads(threads);
+        for (bool fuse : {true, false}) {
+          ops::SetFuseEpilogues(fuse);
+          for (double r : {0.25, 0.5, 1.0}) {
+            c.net->SetSliceRate(r);
+            for (int64_t batch : {2, 5, 8, 32}) {
+              Tensor x = Tensor::Randn(c.input_shape(batch), &rng);
+              const Tensor y = c.net->Forward(x, /*training=*/false);
+              for (int64_t i = 0; i < batch; ++i) {
+                const Tensor yi = c.net->Forward(
+                    TakeBatchItem(x, c.batch_dim, i), /*training=*/false);
+                const Tensor want = TakeBatchItem(y, c.batch_dim, i);
+                ASSERT_EQ(yi.shape(), want.shape()) << c.name;
+                EXPECT_EQ(std::memcmp(yi.data(), want.data(),
+                                      static_cast<size_t>(yi.size()) *
+                                          sizeof(float)),
+                          0)
+                    << c.name << " item " << i << " of " << batch
+                    << " r=" << r << " threads=" << threads
+                    << " fuse=" << fuse << " precision=" << PrecisionName(p);
+                ++checked;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  ops::SetComputeThreads(saved_threads);
+  ops::SetFuseEpilogues(saved_fuse);
+  EXPECT_EQ(checked, 7 * 2 * 2 * 2 * 3 * (2 + 5 + 8 + 32));
 }
 
 }  // namespace

@@ -11,8 +11,7 @@
 //     bitwise identical to quantizing the sliced weights from scratch —
 //     the per-(segment, column) scale layout is what buys this.
 //   * Results are bitwise identical at every thread count, transpose
-//     flavor, and beta in {0, 1}; GemmQuantizedWeightA is the same
-//     contraction as GemmQuantizedB modulo the transposed merge.
+//     flavor of the packed weight, and beta in {0, 1}.
 //   * EnsureQuantizedB re-packs exactly when the cache key or the
 //     process-wide weight generation changed (SGD::Step, LoadParams).
 //   * Int8 inference at every trained rate stays within a stated top-1
@@ -40,7 +39,6 @@ namespace {
 
 using ops::EnsureQuantizedB;
 using ops::GemmQuantizedB;
-using ops::GemmQuantizedWeightA;
 using ops::QuantizedPack;
 using ops::QuantizePackB;
 
@@ -75,17 +73,14 @@ struct QuantOracle {
 
 // Recomputes, in plain test-local code, everything GemmQuantizedB is
 // specified to do: per-(segment, column) weight scales over op(B), per-row
-// asymmetric 7-bit activation affines over op(A)'s active k, lrintf
+// asymmetric 7-bit activation affines over A's active k, lrintf
 // quantization, exact int64 contraction with the zero-point colsum
 // correction, fp64 dequant. Also the fp64 truth and the analytic error
 // bound sum_p (0.5*as_i*(|b| + 0.5*bs_g) + 0.5*bs_g*|a|).
-QuantOracle Oracle(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                   int64_t k, float alpha, const float* a, int64_t lda,
-                   const float* b, int64_t ldb,
-                   const std::vector<int64_t>& ends) {
-  auto av = [&](int64_t i, int64_t p) {
-    return trans_a ? a[p * lda + i] : a[i * lda + p];
-  };
+QuantOracle Oracle(bool trans_b, int64_t m, int64_t n, int64_t k,
+                   float alpha, const float* a, int64_t lda, const float* b,
+                   int64_t ldb, const std::vector<int64_t>& ends) {
+  auto av = [&](int64_t i, int64_t p) { return a[i * lda + p]; };
   auto bv = [&](int64_t p, int64_t j) {
     return trans_b ? b[j * ldb + p] : b[p * ldb + j];
   };
@@ -188,36 +183,33 @@ TEST(QuantGemm, ExactIntegerContractionAndErrorBound) {
   Rng rng(13);
   const int64_t kfull = 70, nfull = 250;
   const std::vector<int64_t> ends = Ends(kfull, 5);
-  for (const bool trans_a : {false, true}) {
-    for (const bool trans_b : {false, true}) {
-      for (const int64_t m : {1, 5, 8, 13, 96}) {
-        const int64_t lda = (trans_a ? m : kfull) + 3;
-        const int64_t ldb = (trans_b ? kfull : nfull) + 2;
-        Tensor a = Tensor::Randn({trans_a ? kfull : m, lda}, &rng);
-        Tensor b = Tensor::Randn({trans_b ? nfull : kfull, ldb}, &rng);
-        QuantizedPack pack;
-        QuantizePackB(trans_b, kfull, nfull, b.data(), ldb, ends, &pack);
-        for (const float alpha : {1.0f, 0.37f}) {
-          // Slice both extents: k to a group boundary, n to any prefix.
-          for (const int64_t k : {ends[1], kfull}) {
-            for (const int64_t n : {int64_t{7}, nfull}) {
-              Tensor c({m, n});
-              GemmQuantizedB(trans_a, m, n, k, alpha, a.data(), lda, pack,
-                             0.0f, c.data(), n);
-              const QuantOracle o = Oracle(trans_a, trans_b, m, n, k, alpha,
-                                           a.data(), lda, b.data(), ldb,
-                                           ends);
-              for (int64_t i = 0; i < m * n; ++i) {
-                const double got = c.data()[i];
-                // Float epilogue rounding only vs the exact contraction.
-                EXPECT_NEAR(got, o.exact[static_cast<size_t>(i)],
-                            1e-4 * (1.0 + std::fabs(o.exact[i])))
-                    << "i=" << i << " m=" << m << " k=" << k << " n=" << n;
-                // Analytic quantization-error bound vs fp64 truth.
-                EXPECT_LE(std::fabs(got - o.truth[static_cast<size_t>(i)]),
-                          o.bound[static_cast<size_t>(i)] + 1e-5)
-                    << "i=" << i << " m=" << m << " k=" << k << " n=" << n;
-              }
+  for (const bool trans_b : {false, true}) {
+    for (const int64_t m : {1, 5, 8, 13, 96}) {
+      const int64_t lda = kfull + 3;
+      const int64_t ldb = (trans_b ? kfull : nfull) + 2;
+      Tensor a = Tensor::Randn({m, lda}, &rng);
+      Tensor b = Tensor::Randn({trans_b ? nfull : kfull, ldb}, &rng);
+      QuantizedPack pack;
+      QuantizePackB(trans_b, kfull, nfull, b.data(), ldb, ends, &pack);
+      for (const float alpha : {1.0f, 0.37f}) {
+        // Slice both extents: k to a group boundary, n to any prefix.
+        for (const int64_t k : {ends[1], kfull}) {
+          for (const int64_t n : {int64_t{7}, nfull}) {
+            Tensor c({m, n});
+            GemmQuantizedB(m, n, k, alpha, a.data(), lda, pack, 0.0f,
+                           c.data(), n);
+            const QuantOracle o = Oracle(trans_b, m, n, k, alpha, a.data(),
+                                         lda, b.data(), ldb, ends);
+            for (int64_t i = 0; i < m * n; ++i) {
+              const double got = c.data()[i];
+              // Float epilogue rounding only vs the exact contraction.
+              EXPECT_NEAR(got, o.exact[static_cast<size_t>(i)],
+                          1e-4 * (1.0 + std::fabs(o.exact[i])))
+                  << "i=" << i << " m=" << m << " k=" << k << " n=" << n;
+              // Analytic quantization-error bound vs fp64 truth.
+              EXPECT_LE(std::fabs(got - o.truth[static_cast<size_t>(i)]),
+                        o.bound[static_cast<size_t>(i)] + 1e-5)
+                  << "i=" << i << " m=" << m << " k=" << k << " n=" << n;
             }
           }
         }
@@ -239,8 +231,8 @@ TEST(QuantGemm, BetaOneAccumulates) {
   Tensor c1_copy({m, n});
   std::memcpy(c1_copy.data(), c1.data(),
               static_cast<size_t>(m * n) * sizeof(float));
-  GemmQuantizedB(false, m, n, k, 1.0f, a.data(), k, pack, 0.0f, c0.data(), n);
-  GemmQuantizedB(false, m, n, k, 1.0f, a.data(), k, pack, 1.0f, c1.data(), n);
+  GemmQuantizedB(m, n, k, 1.0f, a.data(), k, pack, 0.0f, c0.data(), n);
+  GemmQuantizedB(m, n, k, 1.0f, a.data(), k, pack, 1.0f, c1.data(), n);
   for (int64_t i = 0; i < m * n; ++i) {
     EXPECT_FLOAT_EQ(c1.data()[i], c1_copy.data()[i] + c0.data()[i]);
   }
@@ -271,9 +263,9 @@ TEST(QuantGemm, SlicingAPackEqualsQuantizingTheSlice) {
     }
     // ...and the sliced outputs are bitwise identical.
     Tensor c_full({m, n}), c_sliced({m, n});
-    GemmQuantizedB(false, m, n, k, 1.0f, a.data(), kfull, full, 0.0f,
+    GemmQuantizedB(m, n, k, 1.0f, a.data(), kfull, full, 0.0f,
                    c_full.data(), n);
-    GemmQuantizedB(false, m, n, k, 1.0f, a.data(), kfull, sliced, 0.0f,
+    GemmQuantizedB(m, n, k, 1.0f, a.data(), kfull, sliced, 0.0f,
                    c_sliced.data(), n);
     EXPECT_EQ(std::memcmp(c_full.data(), c_sliced.data(),
                           static_cast<size_t>(m * n) * sizeof(float)),
@@ -288,25 +280,20 @@ TEST(QuantGemm, BitwiseIdenticalAcrossThreadCounts) {
   const std::vector<int64_t> ends = Ends(kfull, 4);
   Tensor a = Tensor::Randn({m, kfull}, &rng);
   Tensor b = Tensor::Randn({nfull, kfull}, &rng);
-  Tensor cols = Tensor::Randn({kfull, m}, &rng);
   QuantizedPack pack;
   QuantizePackB(true, kfull, nfull, b.data(), kfull, ends, &pack);
-  Tensor ref({m, nfull}), ref_wa({nfull, m});
+  Tensor ref({m, nfull});
   bool have_ref = false;
   for (const int threads : {1, 2, 8}) {
     ops::SetComputeThreads(threads);
     // Repack under this thread count too: packing must also be invariant.
     QuantizedPack tpack;
     QuantizePackB(true, kfull, nfull, b.data(), kfull, ends, &tpack);
-    Tensor c({m, nfull}), c_wa({nfull, m});
-    GemmQuantizedB(false, m, nfull, kfull, 1.0f, a.data(), kfull, tpack,
-                   0.0f, c.data(), nfull);
-    GemmQuantizedWeightA(nfull, m, kfull, tpack, cols.data(), m, 0.0f,
-                         c_wa.data(), m);
+    Tensor c({m, nfull});
+    GemmQuantizedB(m, nfull, kfull, 1.0f, a.data(), kfull, tpack, 0.0f,
+                   c.data(), nfull);
     if (!have_ref) {
       std::memcpy(ref.data(), c.data(),
-                  static_cast<size_t>(m * nfull) * sizeof(float));
-      std::memcpy(ref_wa.data(), c_wa.data(),
                   static_cast<size_t>(m * nfull) * sizeof(float));
       have_ref = true;
     } else {
@@ -314,41 +301,9 @@ TEST(QuantGemm, BitwiseIdenticalAcrossThreadCounts) {
                             static_cast<size_t>(m * nfull) * sizeof(float)),
                 0)
           << "threads=" << threads;
-      EXPECT_EQ(std::memcmp(c_wa.data(), ref_wa.data(),
-                            static_cast<size_t>(m * nfull) * sizeof(float)),
-                0)
-          << "threads=" << threads << " (WeightA)";
     }
   }
   ops::SetComputeThreads(1);
-}
-
-TEST(QuantGemm, WeightAMatchesTransposedBFlavor) {
-  // C(m, n) = W * cols via the conv driver must equal the dense driver's
-  // C^T = cols^T x W^T elementwise (same pack, same quantize rule).
-  ops::SetComputeThreads(1);
-  Rng rng(29);
-  const int64_t channels = 40, pixels = 33, kfull = 54;
-  const std::vector<int64_t> ends = Ends(kfull, 3);
-  Tensor w = Tensor::Randn({channels, kfull}, &rng);
-  Tensor cols = Tensor::Randn({kfull, pixels}, &rng);
-  QuantizedPack pack;
-  QuantizePackB(true, kfull, channels, w.data(), kfull, ends, &pack);
-  for (const int64_t k : {ends[0], kfull}) {
-    Tensor c_wa({channels, pixels});
-    GemmQuantizedWeightA(channels, pixels, k, pack, cols.data(), pixels,
-                         0.0f, c_wa.data(), pixels);
-    Tensor ct({pixels, channels});
-    GemmQuantizedB(true, pixels, channels, k, 1.0f, cols.data(), pixels,
-                   pack, 0.0f, ct.data(), channels);
-    for (int64_t ch = 0; ch < channels; ++ch) {
-      for (int64_t px = 0; px < pixels; ++px) {
-        EXPECT_EQ(c_wa.data()[ch * pixels + px],
-                  ct.data()[px * channels + ch])
-            << "k=" << k << " ch=" << ch << " px=" << px;
-      }
-    }
-  }
 }
 
 TEST(QuantEnsure, CacheKeyAndGenerationSemantics) {

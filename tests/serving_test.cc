@@ -206,7 +206,7 @@ TEST(LatencyScheduler, OverloadFloorPicksInt8WhenInt8IsFaster) {
 
 TEST(LatencyScheduler, OverloadFloorPicksFp32WhenInt8IsSlower) {
   auto cfg = DefaultServing();
-  cfg.full_sample_time_int8 = 2.5;  // t8 > t: int8 conv loses to fp32
+  cfg.full_sample_time_int8 = 2.5;  // t8 > t: int8 loses to fp32
   auto sched = LatencyScheduler::Make(cfg).MoveValueOrDie();
   const TickDecision d = sched.Schedule(2000);
   EXPECT_FALSE(d.slo_met);
