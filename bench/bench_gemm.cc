@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include <benchmark/benchmark.h>
+
 #include "bench/bench_util.h"
 #include "src/models/cnn.h"
 #include "src/models/mlp.h"
@@ -412,9 +414,6 @@ int Main() {
   bench::PrintRule();
   ops::SetComputeThreads(1);
 
-  // Keeps the timed forwards observable so the optimizer cannot drop them.
-  static volatile float fusion_sink;
-
   struct FusionRow {
     std::string label;
     double fused_ms = 0.0;    // per sample
@@ -434,7 +433,7 @@ int Main() {
     row.label = label;
     auto call = [&] {
       Tensor y = net->Forward(x, /*training=*/false);
-      fusion_sink += y.data()[0];
+      benchmark::DoNotOptimize(y.data());
     };
     ops::SetFuseEpilogues(true);
     row.fused_ms = 1e3 * TimeCall(min_s, call) / samples;
@@ -573,11 +572,11 @@ int Main() {
       // Warm lazy caches outside the arena so the recording sees only
       // per-request activations (what steady-state serving allocates).
       Tensor warm = target.net->Forward(*target.x, /*training=*/false);
-      fusion_sink += warm.data()[0];
+      benchmark::DoNotOptimize(warm.data());
       ActivationArena arena;
       ActivationPlan plan = PlanForward(&arena, [&] {
         Tensor y = target.net->Forward(*target.x, /*training=*/false);
-        fusion_sink += y.data()[0];
+        benchmark::DoNotOptimize(y.data());
       });
       std::printf("%-14s %6.2f %14.1f %14.1f %14.1f\n", target.label, r,
                   plan.packed_bytes / 1024.0, plan.peak_live_bytes / 1024.0,

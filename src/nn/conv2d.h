@@ -41,8 +41,8 @@ struct Conv2dOptions {
 ///
 /// Slicing rule: the active channels are a prefix of whole conv groups.
 /// With conv_groups == 1 the one group is itself sliced, which reduces to
-/// prefix GEMMs over the im2col matrix (cost ~ r^2); the forward fills its
-/// GEMM panels straight from a zero-padded copy of the input
+/// prefix GEMMs over the im2col matrix (cost ~ r^2); the forward's GEMM
+/// reads that matrix in place from a zero-padded copy of the input
 /// (GemmPrepackedAConv), and only backward materializes it (Im2Col). With
 /// conv_groups > 1 every slicing-group boundary must fall on a conv-group
 /// boundary and slice_in == slice_out, so a slice keeps a prefix of whole

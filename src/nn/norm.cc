@@ -47,31 +47,39 @@ ops::detail::SumSqF32Fn ActiveSumSq() {
   return fn;
 }
 
-template <ops::EpiAct Act>
-void ApplyActInPlace(float* __restrict__ v, int64_t n) {
-  for (int64_t p = 0; p < n; ++p) v[p] = ops::detail::EpiActApplyCT<Act>(v[p]);
+// One normalize -> affine -> activation pass over a run of n values that
+// share (mean, inv_std, gamma, beta): y = act(gam * ((x - mean) * inv_std)
+// + bet), with the normalized value also stored to xhat when kCache. The
+// act is a compile-time parameter, so the loop has no per-element branch;
+// the unfused activation module would apply the same inline to the same
+// float, so fused == unfused bitwise.
+template <ops::EpiAct Act, bool kCache>
+void NormalizeRun(const float* x, int64_t n, float mean, float inv_std,
+                  float gam, float bet, float* xhat, float* y) {
+  for (int64_t p = 0; p < n; ++p) {
+    const float h = (x[p] - mean) * inv_std;
+    if constexpr (kCache) xhat[p] = h;
+    y[p] = ops::detail::EpiActApplyCT<Act>(gam * h + bet);
+  }
 }
 
-// Fused activation as one vectorized sweep AFTER the normalization write,
-// instead of a per-element runtime switch inside it: the act dispatch
-// happens once per forward, the write loop stays branch-free for both the
-// fused and unfused paths (identical pre-activation values by
-// construction), and the activation itself is applied to the exact floats
-// the unfused activation module would have read.
-void ApplyFusedAct(ops::EpiAct act, float* v, int64_t n) {
+using NormalizeRunFn = void (*)(const float*, int64_t, float, float, float,
+                                float, float*, float*);
+
+// The normalize pass for one forward: resolved once, then called per run.
+template <bool kCache>
+NormalizeRunFn NormalizeRunFor(ops::EpiAct act) {
   switch (act) {
     case ops::EpiAct::kRelu:
-      ApplyActInPlace<ops::EpiAct::kRelu>(v, n);
-      break;
+      return &NormalizeRun<ops::EpiAct::kRelu, kCache>;
     case ops::EpiAct::kSigmoid:
-      ApplyActInPlace<ops::EpiAct::kSigmoid>(v, n);
-      break;
+      return &NormalizeRun<ops::EpiAct::kSigmoid, kCache>;
     case ops::EpiAct::kTanh:
-      ApplyActInPlace<ops::EpiAct::kTanh>(v, n);
-      break;
+      return &NormalizeRun<ops::EpiAct::kTanh, kCache>;
     case ops::EpiAct::kNone:
       break;
   }
+  return &NormalizeRun<ops::EpiAct::kNone, kCache>;
 }
 
 }  // namespace
@@ -116,6 +124,9 @@ Tensor GroupNorm::DoForward(const Tensor& x, bool training) {
   const ops::EpiAct act = (!training && ops::FuseEpiloguesEnabled())
                               ? fused_act_
                               : ops::EpiAct::kNone;
+  // xhat is cached at inference too: Backward after an inference Forward
+  // is part of the contract (it equals Backward after a training one).
+  const NormalizeRunFn normalize = NormalizeRunFor<true>(act);
   for (int64_t b = 0; b < batch; ++b) {
     for (int64_t g = 0; g < active_groups_; ++g) {
       const int64_t c0 = spec_.GroupBoundary(g);
@@ -134,19 +145,12 @@ Tensor GroupNorm::DoForward(const Tensor& x, bool training) {
       float* xh = cached_xhat_.data() + (b * active_channels_ + c0) * area;
       float* yo = y.data() + (b * active_channels_ + c0) * area;
       for (int64_t c = c0; c < c1; ++c) {
-        const float gam = gamma_[c];
-        const float bet = beta_[c];
         const int64_t off = (c - c0) * area;
-        for (int64_t p = 0; p < area; ++p) {
-          const float xv = xg[off + p];
-          const float h = (xv - static_cast<float>(mean)) * inv_std;
-          xh[off + p] = h;
-          yo[off + p] = gam * h + bet;
-        }
+        normalize(xg + off, area, static_cast<float>(mean), inv_std,
+                  gamma_[c], beta_[c], xh + off, yo + off);
       }
     }
   }
-  ApplyFusedAct(act, y.data(), y.size());
   return y;
 }
 
@@ -249,6 +253,8 @@ Tensor BatchNorm::DoForward(const Tensor& x, bool training) {
   const ops::EpiAct act = (!training && ops::FuseEpiloguesEnabled())
                               ? fused_act_
                               : ops::EpiAct::kNone;
+  const NormalizeRunFn normalize =
+      training ? NormalizeRunFor<true>(act) : NormalizeRunFor<false>(act);
   for (int64_t c = 0; c < active_channels_; ++c) {
     float mean, inv_std;
     if (training) {
@@ -278,22 +284,13 @@ Tensor BatchNorm::DoForward(const Tensor& x, bool training) {
       mean = running_mean_[c];
       inv_std = 1.0f / std::sqrt(running_var_[c] + opts_.eps);
     }
-    const float gam = gamma_[c];
-    const float bet = beta_[c];
     for (int64_t b = 0; b < batch; ++b) {
-      const float* xc = x.data() + (b * active_channels_ + c) * area;
-      float* yc = y.data() + (b * active_channels_ + c) * area;
-      float* hc = training
-                      ? cached_xhat_.data() + (b * active_channels_ + c) * area
-                      : nullptr;
-      for (int64_t p = 0; p < area; ++p) {
-        const float h = (xc[p] - mean) * inv_std;
-        if (hc) hc[p] = h;
-        yc[p] = gam * h + bet;
-      }
+      const int64_t off = (b * active_channels_ + c) * area;
+      normalize(x.data() + off, area, mean, inv_std, gamma_[c], beta_[c],
+                training ? cached_xhat_.data() + off : nullptr,
+                y.data() + off);
     }
   }
-  ApplyFusedAct(act, y.data(), y.size());
   return y;
 }
 

@@ -22,7 +22,7 @@ class MaxPool2d : public Module {
     w_ = x.dim(3);
     const int64_t oh = (h_ - kernel_) / stride_ + 1;
     const int64_t ow = (w_ - kernel_) / stride_ + 1;
-    Tensor y({n_, c_, oh, ow});
+    Tensor y = Tensor::Uninit({n_, c_, oh, ow});
     ops::MaxPool2d(x, n_, c_, h_, w_, kernel_, stride_, &y, &argmax_);
     oh_ = oh;
     ow_ = ow;
@@ -55,7 +55,7 @@ class GlobalAvgPool : public Module {
     h_ = x.dim(2);
     w_ = x.dim(3);
     const int64_t area = h_ * w_;
-    Tensor y({n_, c_});
+    Tensor y = Tensor::Uninit({n_, c_});
     const float inv = 1.0f / static_cast<float>(area);
     for (int64_t i = 0; i < n_ * c_; ++i) {
       const float* plane = x.data() + i * area;

@@ -98,7 +98,10 @@ inline float EpiActApplyCT(float v) {
 // Row-segment epilogue: the same per-element op sequence as EpiApply
 // (bias, scale-shift, act), specialized per configuration so the hot
 // loops carry no per-element branches and the add/mul/max cases
-// autovectorize at -O2. Per-element order is unchanged, so applying the
+// autovectorize. With GCC that takes -fvect-cost-model=dynamic, which
+// src/CMakeLists.txt sets for the library: -O2's default "very-cheap"
+// model leaves loops with a runtime trip count scalar. Per-element order
+// is unchanged (and vector code rounds exactly like scalar), so applying the
 // plain merge first and then one of these over the still-hot row is
 // bitwise identical to the fully-scalar EpiApply path.
 

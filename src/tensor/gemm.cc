@@ -85,6 +85,37 @@ void MicroKernelPortable(int64_t k, const float* ap, const float* bp,
   }
 }
 
+// Portable conv entry: MicroKernelPortable's mul+add sequence over the
+// first LIVE rows, with B row p read in place at xq + offs[p].
+template <int MR, int NR, int LIVE>
+void ConvKernelPortableLive(int64_t k, const float* ap, const float* xq,
+                            const int64_t* offs, float* acc) {
+  float c[LIVE][NR] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    const float* bp = xq + offs[p];
+    for (int i = 0; i < LIVE; ++i) {
+      const float av = ap[i];
+      for (int j = 0; j < NR; ++j) c[i][j] += av * bp[j];
+    }
+    ap += MR;
+  }
+  for (int i = 0; i < LIVE; ++i) {
+    for (int j = 0; j < NR; ++j) acc[i * NR + j] = c[i][j];
+  }
+}
+
+template <int MR, int NR>
+void ConvKernelPortable(int64_t k, int rows, const float* ap,
+                        const float* xq, const int64_t* offs, float* acc) {
+  static_assert(MR == 4, "one case per live row count");
+  switch (rows) {
+    case 1: ConvKernelPortableLive<MR, NR, 1>(k, ap, xq, offs, acc); break;
+    case 2: ConvKernelPortableLive<MR, NR, 2>(k, ap, xq, offs, acc); break;
+    case 3: ConvKernelPortableLive<MR, NR, 3>(k, ap, xq, offs, acc); break;
+    default: ConvKernelPortableLive<MR, NR, 4>(k, ap, xq, offs, acc); break;
+  }
+}
+
 // Portable skinny-M kernel: op(A) rows are read strided from the caller's
 // matrix (no packing), alpha rounds once into the broadcast value — the
 // same t_p = (alpha*a)*b mul+add sequence as MicroKernelPortable.
@@ -136,7 +167,8 @@ const MicroKernelDesc& ActiveKernel() {
       return *avx;
     }
     return MicroKernelDesc{4, 8, &MicroKernelPortable<4, 8>,
-                           &GemmRefPortable, &SkinnyKernelPortable<8>, 8};
+                           &GemmRefPortable, &SkinnyKernelPortable<8>, 8,
+                           &ConvKernelPortable<4, 8>};
   }();
   return desc;
 }
@@ -212,9 +244,12 @@ void MergeTile(const float* acc, int nr, int64_t i0, int64_t rows,
 
 // Merge + epilogue in one pass over the tile, fully specialized on the
 // descriptor config so the hot loops carry no per-element branches and
-// stay vectorizable (acc never aliases C — it is the kernel's private
+// are vectorizable (acc never aliases C — it is the kernel's private
 // accumulator — and the Epilogue vectors must not alias C either, per
-// the descriptor contract). Per-element op order is exactly the scalar
+// the descriptor contract). GCC vectorizes them only under
+// -fvect-cost-model=dynamic (set for the library in src/CMakeLists.txt):
+// at -O2's default "very-cheap" model a runtime column count keeps them
+// scalar. Per-element op order is exactly the scalar
 // path's: beta merge, bias, scale-shift, activation. This TU builds with
 // -ffp-contract=off, so none of those steps contract.
 template <bool kBias, bool kScale, bool kPerRow, EpiAct Act>

@@ -76,6 +76,91 @@ void MicroKernel6x16(int64_t k, const float* ap, const float* bp,
   _mm256_store_ps(acc + 5 * kNr + 8, c51);
 }
 
+// Conv flavor of MicroKernel6x16 for the first LIVE rows of the A panel:
+// B row p is loaded in place from the padded input at xq + offs[p], with
+// the same fma order per element. The accumulators are named registers
+// behind compile-time `LIVE > i` guards (an indexed __m256 array spills,
+// see Int8Chunk16), so a 4-row tile issues 4 rows of fmas, not 6.
+template <int LIVE>
+void ConvKernel6x16Live(int64_t k, const float* ap, const float* xq,
+                        const int64_t* offs, float* acc) {
+  __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
+  __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
+  __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
+  __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
+  __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
+  __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
+  for (int64_t p = 0; p < k; ++p) {
+    const float* bp = xq + offs[p];
+    const __m256 b0 = _mm256_loadu_ps(bp);
+    const __m256 b1 = _mm256_loadu_ps(bp + 8);
+    __m256 a;
+    a = _mm256_broadcast_ss(ap + 0);
+    c00 = _mm256_fmadd_ps(a, b0, c00);
+    c01 = _mm256_fmadd_ps(a, b1, c01);
+    if constexpr (LIVE > 1) {
+      a = _mm256_broadcast_ss(ap + 1);
+      c10 = _mm256_fmadd_ps(a, b0, c10);
+      c11 = _mm256_fmadd_ps(a, b1, c11);
+    }
+    if constexpr (LIVE > 2) {
+      a = _mm256_broadcast_ss(ap + 2);
+      c20 = _mm256_fmadd_ps(a, b0, c20);
+      c21 = _mm256_fmadd_ps(a, b1, c21);
+    }
+    if constexpr (LIVE > 3) {
+      a = _mm256_broadcast_ss(ap + 3);
+      c30 = _mm256_fmadd_ps(a, b0, c30);
+      c31 = _mm256_fmadd_ps(a, b1, c31);
+    }
+    if constexpr (LIVE > 4) {
+      a = _mm256_broadcast_ss(ap + 4);
+      c40 = _mm256_fmadd_ps(a, b0, c40);
+      c41 = _mm256_fmadd_ps(a, b1, c41);
+    }
+    if constexpr (LIVE > 5) {
+      a = _mm256_broadcast_ss(ap + 5);
+      c50 = _mm256_fmadd_ps(a, b0, c50);
+      c51 = _mm256_fmadd_ps(a, b1, c51);
+    }
+    ap += kMr;
+  }
+  _mm256_store_ps(acc + 0 * kNr, c00);
+  _mm256_store_ps(acc + 0 * kNr + 8, c01);
+  if constexpr (LIVE > 1) {
+    _mm256_store_ps(acc + 1 * kNr, c10);
+    _mm256_store_ps(acc + 1 * kNr + 8, c11);
+  }
+  if constexpr (LIVE > 2) {
+    _mm256_store_ps(acc + 2 * kNr, c20);
+    _mm256_store_ps(acc + 2 * kNr + 8, c21);
+  }
+  if constexpr (LIVE > 3) {
+    _mm256_store_ps(acc + 3 * kNr, c30);
+    _mm256_store_ps(acc + 3 * kNr + 8, c31);
+  }
+  if constexpr (LIVE > 4) {
+    _mm256_store_ps(acc + 4 * kNr, c40);
+    _mm256_store_ps(acc + 4 * kNr + 8, c41);
+  }
+  if constexpr (LIVE > 5) {
+    _mm256_store_ps(acc + 5 * kNr, c50);
+    _mm256_store_ps(acc + 5 * kNr + 8, c51);
+  }
+}
+
+void ConvKernel6x16(int64_t k, int rows, const float* ap, const float* xq,
+                    const int64_t* offs, float* acc) {
+  switch (rows) {
+    case 1: ConvKernel6x16Live<1>(k, ap, xq, offs, acc); break;
+    case 2: ConvKernel6x16Live<2>(k, ap, xq, offs, acc); break;
+    case 3: ConvKernel6x16Live<3>(k, ap, xq, offs, acc); break;
+    case 4: ConvKernel6x16Live<4>(k, ap, xq, offs, acc); break;
+    case 5: ConvKernel6x16Live<5>(k, ap, xq, offs, acc); break;
+    default: ConvKernel6x16Live<6>(k, ap, xq, offs, acc); break;
+  }
+}
+
 // Skinny-M kernel (m <= kMaxMr = 8): op(A) rows are read strided from the
 // caller's matrix (no packing) against one packed k*16 B panel. Rows go in
 // chunks of <= 4 (8 ymm accumulators + 2 B vectors + 1 broadcast per
@@ -467,7 +552,8 @@ const MicroKernelDesc* Avx2Kernel() {
   static const bool supported =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   static const MicroKernelDesc desc{kMr, kNr, &MicroKernel6x16,
-                                    &GemmRefFma, &SkinnyKernel16, 4};
+                                    &GemmRefFma, &SkinnyKernel16, 4,
+                                    &ConvKernel6x16};
   return supported ? &desc : nullptr;
 }
 

@@ -61,6 +61,13 @@ struct MicroKernelDesc {
   /// rows of accumulators per pass, so m in (4, 8] would re-stream every B
   /// panel, while the portable kernel keeps all 8 rows in one pass.
   int skinny_max_m;
+  /// Implicit-GEMM conv entry (GemmPrepackedAConv): `kernel` with B read in
+  /// place instead of from a packed panel. B row p is the nr contiguous
+  /// floats at xq + offs[p]. Only the first `rows` (1..mr) rows of the A
+  /// panel are contracted and stored; acc rows >= rows are left untouched.
+  /// Per-element contraction identical to `kernel`.
+  void (*conv)(int64_t k, int rows, const float* apanel, const float* xq,
+               const int64_t* offs, float* acc);
 };
 
 /// The AVX2/FMA kernel, or nullptr when not compiled in (MS_ENABLE_AVX2

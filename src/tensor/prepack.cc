@@ -397,38 +397,14 @@ void GemmPrepackedAEx(int64_t m, int64_t n, int64_t k,
 
 namespace {
 
-/// Fills the NR-wide B panel of grid columns [q0, q0 + NR): row p =
-/// (c, ki, kj) in im2col order holds xp[c*plane + row_offset(ki) + kj +
-/// stride*q]. Lanes past the live columns read wrap columns or the zero
-/// tail; they only feed accumulator lanes the merge drops.
-template <int NR>
-void FillConvPanel(const PaddedConvInput& geo, const float* xp, int64_t q0,
-                   float* dst) {
-  const int64_t stride = geo.stride;
-  const float* base = xp + stride * q0;
-  for (int64_t ch = 0; ch < geo.channels; ++ch) {
-    for (int64_t ki = 0; ki < geo.kernel; ++ki) {
-      const float* row = base + ch * geo.plane + geo.row_offset(ki);
-      for (int64_t kj = 0; kj < geo.kernel; ++kj, dst += NR) {
-        const float* src = row + kj;
-        if (stride == 1) {
-          std::memcpy(dst, src, NR * sizeof(float));
-        } else {
-          for (int jj = 0; jj < NR; ++jj) dst[jj] = src[jj * stride];
-        }
-      }
-    }
-  }
-}
-
-/// Merges an accumulator tile covering grid columns [q0, q0 + lanes) into
-/// C, one run per output row; wrap columns (oj >= ow) are dropped.
+/// Merges an accumulator tile covering `lanes` grid columns from grid
+/// position (oi, oj) into C, one run per output row; wrap columns
+/// (oj >= ow) are dropped.
 void MergeConvTile(const float* acc, int nr, int64_t i0, int64_t rows,
-                   int64_t q0, int64_t lanes, const PaddedConvInput& geo,
-                   float* c, const Epilogue& epi) {
+                   int64_t oi, int64_t oj, int64_t lanes,
+                   const PaddedConvInput& geo, float* c,
+                   const Epilogue& epi) {
   const int64_t ldc = geo.oh * geo.ow;
-  int64_t oi = q0 / geo.grid_w;
-  int64_t oj = q0 - oi * geo.grid_w;
   for (int64_t lane = 0; lane < lanes; ++oi, oj = 0) {
     const int64_t run = std::min(geo.grid_w - oj, lanes - lane);
     const int64_t live = std::min(run, geo.ow - oj);
@@ -464,33 +440,45 @@ PaddedConvInput MakePaddedConvInput(int64_t channels, int64_t h, int64_t w,
   geo.pad = pad;
   geo.oh = (h + 2 * pad - kernel) / stride + 1;
   geo.ow = (w + 2 * pad - kernel) / stride + 1;
-  geo.grid_w = CeilDiv(w + 2 * pad, stride);
-  geo.pitch = geo.grid_w * stride;
   geo.phase_rows = CeilDiv(h + 2 * pad, stride);
-  geo.plane = stride * geo.phase_rows * geo.pitch;
+  geo.grid_w = CeilDiv(w + 2 * pad, stride);
+  geo.plane = stride * stride * geo.phase_rows * geo.grid_w;
   geo.grid_n = (geo.oh - 1) * geo.grid_w + geo.ow;
-  // The furthest read: the last channel's furthest kernel row, at the
-  // last lane of the last panel.
+  // The furthest read: the last channel's furthest B row, at the last
+  // lane of the last panel.
   int64_t row_max = 0;
   for (int64_t ki = 0; ki < kernel; ++ki) {
-    row_max = std::max(row_max, geo.row_offset(ki));
+    for (int64_t kj = 0; kj < kernel; ++kj) {
+      row_max = std::max(row_max, geo.offset(ki, kj));
+    }
   }
   const int64_t nr = detail::ActiveKernel().nr;
   const int64_t last_read = (channels - 1) * geo.plane + row_max +
-                            (kernel - 1) +
-                            stride * (CeilDiv(geo.grid_n, nr) * nr - 1);
+                            CeilDiv(geo.grid_n, nr) * nr - 1;
   geo.floats = std::max(channels * geo.plane, last_read + 1);
   return geo;
 }
 
 void CopyPaddedInterior(const PaddedConvInput& geo, const float* x,
                         float* xp) {
+  const int64_t s = geo.stride;
   for (int64_t ch = 0; ch < geo.channels; ++ch) {
     const float* src = x + ch * geo.h * geo.w;
-    float* dst = xp + ch * geo.plane + geo.pad;
+    float* dst = xp + ch * geo.plane;
     for (int64_t i = 0; i < geo.h; ++i) {
-      std::memcpy(dst + geo.row_offset(i + geo.pad), src + i * geo.w,
-                  static_cast<size_t>(geo.w) * sizeof(float));
+      const float* row = src + i * geo.w;
+      const int64_t r = i + geo.pad;
+      if (s == 1) {
+        std::memcpy(dst + geo.offset(r, geo.pad), row,
+                    static_cast<size_t>(geo.w) * sizeof(float));
+        continue;
+      }
+      // One contiguous run per column phase: input columns j0, j0 + s, ...
+      // land in sub-plane (r % s, (j0 + pad) % s) side by side.
+      for (int64_t j0 = 0; j0 < std::min(s, geo.w); ++j0) {
+        float* out = dst + geo.offset(r, j0 + geo.pad);
+        for (int64_t j = j0; j < geo.w; j += s) *out++ = row[j];
+      }
     }
   }
 }
@@ -508,50 +496,52 @@ void GemmPrepackedAConv(int64_t m, const PackedMatrix& apack,
   const int nr = kd.nr;
   const int mr = kd.mr;
   MS_CHECK(apack.panel_ == mr);
-  MS_CHECK(nr == 8 || nr == 16);
-  auto fill = nr == 16 ? &FillConvPanel<16> : &FillConvPanel<8>;
   const int64_t panel_stride = mr * apack.cols_;
   const int64_t band_stride = CeilDiv(detail::kMC, mr) * panel_stride;
 
+  // B row p = (ch, ki, kj), in im2col order, starts at xp + offs[p]; grid
+  // column q of that row is offs[p] + q. The table lives in the calling
+  // thread's arena; workers of the parallel walk below only read it.
+  ScratchArena& arena = ScratchArena::ForThread();
+  ScratchArena::Scope scope(arena);
+  int64_t* const offs = reinterpret_cast<int64_t*>(arena.Alloc(2 * k));
+  const int64_t taps = geo.kernel * geo.kernel;
+  for (int64_t ki = 0, t = 0; ki < geo.kernel; ++ki) {
+    for (int64_t kj = 0; kj < geo.kernel; ++kj, ++t) {
+      offs[t] = geo.offset(ki, kj);
+    }
+  }
+  for (int64_t p = taps; p < k; ++p) offs[p] = offs[p - taps] + geo.plane;
+
   // Same fixed cell grid as GemmPrepackedAEx, over the grid_n columns of
-  // the output grid, walked column-band-major: a worker fills a band's
-  // panels once and runs every row band of its range against them.
+  // the output grid. The kernel reads each nr-wide B panel in place.
   const int64_t n = geo.grid_n;
   const int64_t m_bands = CeilDiv(m, detail::kMC);
   const int64_t n_bands = CeilDiv(n, detail::kNC);
   const int64_t flops = 2 * m * geo.oh * geo.ow * k;
 
   auto compute_cells = [&](int64_t c0, int64_t c1) {
-    ScratchArena& arena = ScratchArena::ForThread();
-    ScratchArena::Scope scope(arena);
-    float* bpanels = arena.Alloc(CeilDiv(detail::kNC, nr) * nr * k);
     alignas(64) float acc[detail::kMaxMr * detail::kMaxNr];
-    int64_t filled_band = -1;
     for (int64_t cell = c0; cell < c1; ++cell) {
-      const int64_t bj = cell / m_bands;
-      const int64_t bi = cell % m_bands;
-      const int64_t j_base = bj * detail::kNC;
-      const int64_t p0 = j_base / nr;
-      const int64_t p1 =
-          CeilDiv(j_base + std::min<int64_t>(detail::kNC, n - j_base), nr);
-      if (bj != filled_band) {
-        for (int64_t pj = p0; pj < p1; ++pj) {
-          fill(geo, xp, pj * nr, bpanels + (pj - p0) * nr * k);
-        }
-        filled_band = bj;
-      }
+      const int64_t bi = cell / n_bands;
+      const int64_t bj = cell % n_bands;
       const int64_t i_base = bi * detail::kMC;
       const int64_t rows = std::min<int64_t>(detail::kMC, m - i_base);
-      for (int64_t pj = p0; pj < p1; ++pj) {
-        const float* bpanel = bpanels + (pj - p0) * nr * k;
+      const int64_t j_base = bj * detail::kNC;
+      const int64_t cols = std::min<int64_t>(detail::kNC, n - j_base);
+      for (int64_t pj = j_base / nr; pj * nr < j_base + cols; ++pj) {
         const int64_t j0 = pj * nr;
         const int64_t lanes = std::min<int64_t>(nr, n - j0);
+        const int64_t oi = j0 / geo.grid_w;
+        const int64_t oj = j0 - oi * geo.grid_w;
         for (int64_t pi = 0; pi * mr < rows; ++pi) {
-          kd.kernel(k, apack.data_ + bi * band_stride + pi * panel_stride,
-                    bpanel, acc);
-          MergeConvTile(acc, nr, i_base + pi * mr,
-                        std::min<int64_t>(mr, rows - pi * mr), j0, lanes,
-                        geo, c, epi);
+          const int live = static_cast<int>(
+              std::min<int64_t>(mr, rows - pi * mr));
+          kd.conv(k, live,
+                  apack.data_ + bi * band_stride + pi * panel_stride,
+                  xp + j0, offs, acc);
+          MergeConvTile(acc, nr, i_base + pi * mr, live, oi, oj, lanes, geo,
+                        c, epi);
         }
       }
     }

@@ -158,7 +158,7 @@ void GemmPrepackedBEx(bool trans_a, int64_t m, int64_t n, int64_t k,
 // ---------------------------------------------------------------------------
 // A-role packs (op(A) is M x K). Weights used as the left operand: conv
 // layers multiply W (out_channels x in_channels*k*k) by the im2col matrix
-// of their input (GemmPrepackedAConv builds its panels straight from a
+// of their input (GemmPrepackedAConv reads its B rows in place from a
 // padded input; the backward dcols product uses GemmPrepackedA). alpha is
 // fixed at 1 (packed panels hold 1*w, exactly what Gemm packs for the
 // alpha the conv layers use).
@@ -186,18 +186,19 @@ void GemmPrepackedAEx(int64_t m, int64_t n, int64_t k,
                       int64_t ldc, const Epilogue& epi);
 
 /// Layout of one image's zero-padded conv input for GemmPrepackedAConv.
-/// Each channel plane holds the hp = h + 2*pad padded rows at `pitch`
-/// floats per row (the padded width rounded up to a multiple of the
-/// stride), grouped by phase: padded row r sits at row_offset(r), phase
-/// r % stride first, then r / stride. For stride 1 that is the plain
-/// padded image. A zero tail follows the last plane.
+/// Each channel plane is split space-to-depth into stride x stride phase
+/// sub-planes: padded pixel (r, x) of the hp x wp padded image (hp = h +
+/// 2*pad, wp = w + 2*pad) sits in sub-plane (r % stride, x % stride) at
+/// row r / stride, column x / stride. A sub-plane has phase_rows rows of
+/// grid_w floats. For stride 1 that is the plain padded image. A zero tail
+/// follows the last plane.
 ///
-/// The GEMM runs on an oh x grid_w output grid, grid_w = pitch / stride.
-/// On that grid the im2col row p = (c, ki, kj) is the slice
-///   xp[c*plane + row_offset(ki) + kj + stride*q],  q = oi*grid_w + oj,
-/// so a B panel row is a straight (for stride 1, contiguous) copy with no
-/// bounds checks. Columns oj >= ow wrap into the next padded row; they are
-/// computed and dropped at merge. The tail keeps the last panel's read
+/// The GEMM runs on an oh x grid_w output grid. On that grid the im2col
+/// row p = (c, ki, kj) is the contiguous run
+///   xp[c*plane + offset(ki, kj) + q],  q = oi*grid_w + oj,
+/// at every stride, so the kernel reads B rows in place: no panel copy, no
+/// bounds checks. Columns oj >= ow wrap into the next sub-plane row; they
+/// are computed and dropped at merge. The tail keeps the last panel's read
 /// past the live columns inside the buffer.
 struct PaddedConvInput {
   int64_t channels = 0;
@@ -208,16 +209,17 @@ struct PaddedConvInput {
   int64_t pad = 0;
   int64_t oh = 0;
   int64_t ow = 0;
-  int64_t pitch = 0;       ///< floats per padded row; a multiple of stride
-  int64_t phase_rows = 0;  ///< rows per phase: ceil(hp / stride)
-  int64_t plane = 0;       ///< floats per channel: stride*phase_rows*pitch
-  int64_t grid_w = 0;      ///< output grid row: ow live + wrap columns
+  int64_t phase_rows = 0;  ///< rows per sub-plane: ceil(hp / stride)
+  int64_t grid_w = 0;      ///< floats per sub-plane row: ceil(wp / stride)
+  int64_t plane = 0;       ///< floats per channel: stride^2 sub-planes
   int64_t grid_n = 0;      ///< GEMM columns: (oh - 1) * grid_w + ow
   int64_t floats = 0;      ///< buffer size, zero tail included
 
-  /// Offset of padded row r inside a channel plane.
-  int64_t row_offset(int64_t r) const {
-    return ((r % stride) * phase_rows + r / stride) * pitch;
+  /// Offset of padded pixel (r, x) inside a channel plane.
+  int64_t offset(int64_t r, int64_t x) const {
+    if (stride == 1) return r * grid_w + x;  // no divisions on the hot path
+    return ((r % stride) * stride + x % stride) * phase_rows * grid_w +
+           (r / stride) * grid_w + x / stride;
   }
 };
 
@@ -235,10 +237,11 @@ void CopyPaddedInterior(const PaddedConvInput& geo, const float* x,
 /// Implicit-GEMM convolution: c (m x oh*ow, row-major) =
 /// Apack[:m, :channels*kernel^2] * Im2Col(x), with the epilogue fused at
 /// writeback, where xp is x copied into a zeroed padded buffer. Bitwise
-/// equal to Im2Col + GemmPrepackedAEx(beta = 0): every live column gets
-/// the same panel values (zero padding included), the same A panels, the
-/// same kernel and the same k order. Parallel over panel-grid cells when
-/// worth it; each worker fills the panels it computes.
+/// equal to Im2Col + GemmPrepackedAEx(beta = 0): every live column reads
+/// the same B values (zero padding included), the same A panels and the
+/// same k order, through the kernel's `conv` entry, which reads B rows in
+/// place and skips the dead rows of the last A panel. Parallel over
+/// panel-grid cells when worth it.
 void GemmPrepackedAConv(int64_t m, const PackedMatrix& apack,
                         const PaddedConvInput& geo, const float* xp,
                         float* c, const Epilogue& epi);

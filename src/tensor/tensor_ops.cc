@@ -131,26 +131,31 @@ void MaxPool2d(const Tensor& x, int64_t n, int64_t c, int64_t h, int64_t w,
   const int64_t oh = (h - kernel) / stride + 1;
   const int64_t ow = (w - kernel) / stride + 1;
   MS_CHECK(out->size() == n * c * oh * ow);
-  argmax->assign(static_cast<size_t>(out->size()), 0);
+  argmax->resize(static_cast<size_t>(out->size()));
+  // Taps in (ki, kj) order with a strict `>`: the first maximum wins ties
+  // and NaN never wins. Both selects are branchless (the index through a
+  // compare mask), so a zero-centered input costs no mispredicted branches.
   for (int64_t img = 0; img < n * c; ++img) {
     const float* src = x.data() + img * h * w;
-    float* dst = out->data() + img * oh * ow;
-    int32_t* am = argmax->data() + img * oh * ow;
     for (int64_t oi = 0; oi < oh; ++oi) {
+      float* dst = out->data() + (img * oh + oi) * ow;
+      int32_t* dst_idx = argmax->data() + (img * oh + oi) * ow;
+      const int64_t row0 = oi * stride * w;
       for (int64_t oj = 0; oj < ow; ++oj) {
         float best = -std::numeric_limits<float>::infinity();
         int32_t best_idx = 0;
         for (int64_t ki = 0; ki < kernel; ++ki) {
           for (int64_t kj = 0; kj < kernel; ++kj) {
-            const int64_t idx = (oi * stride + ki) * w + (oj * stride + kj);
-            if (src[idx] > best) {
-              best = src[idx];
-              best_idx = static_cast<int32_t>(idx);
-            }
+            const int32_t idx =
+                static_cast<int32_t>(row0 + ki * w + oj * stride + kj);
+            const float v = src[idx];
+            const int32_t take = -static_cast<int32_t>(v > best);
+            best = v > best ? v : best;
+            best_idx ^= (best_idx ^ idx) & take;
           }
         }
-        dst[oi * ow + oj] = best;
-        am[oi * ow + oj] = best_idx;
+        dst[oj] = best;
+        dst_idx[oj] = best_idx;
       }
     }
   }

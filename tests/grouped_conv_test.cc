@@ -306,7 +306,7 @@ TEST(ConvContract, MatchesIm2ColGemmOracle) {
   int checked = 0;
   for (int64_t cg : {int64_t{1}, int64_t{4}}) {
     for (int64_t kernel : {1, 3, 5}) {
-      for (int64_t stride : {1, 2}) {
+      for (int64_t stride : {1, 2, 3}) {
         for (int64_t pad : {0, 1, 2}) {
           Conv2dOptions opts;
           opts.in_channels = kChannels;
@@ -347,7 +347,7 @@ TEST(ConvContract, MatchesIm2ColGemmOracle) {
 
   // Large enough for the GEMM's own cell split at batch 1 (2 row bands x
   // 2 column bands) and for the last panel to over-read the tail.
-  for (int64_t stride : {1, 2}) {
+  for (int64_t stride : {1, 2, 3}) {
     Conv2dOptions opts;
     opts.in_channels = 32;
     opts.out_channels = 128;
@@ -362,6 +362,31 @@ TEST(ConvContract, MatchesIm2ColGemmOracle) {
         ExpectMatchesOracle(conv.get(), x,
                             "large stride=" + std::to_string(stride) +
                                 " r=" + std::to_string(r) +
+                                " batch=" + std::to_string(batch));
+      }
+    }
+  }
+
+  // Out-channel counts that leave every partial last tile of both kernels
+  // (rows 1-5 of the 6-row AVX2 tile, 1-3 of the 4-row portable one; 13
+  // adds whole tiles before a 1-row one), so the live-row tiles are held
+  // to the oracle at every residue.
+  for (int64_t out : {1, 2, 3, 4, 5, 6, 7, 13}) {
+    for (int64_t stride : {1, 2, 3}) {
+      Conv2dOptions opts;
+      opts.in_channels = 3;
+      opts.out_channels = out;
+      opts.stride = stride;
+      opts.pad = 1;
+      opts.groups = 1;
+      auto conv =
+          OracleConv(opts, 80 + static_cast<uint64_t>(out * 3 + stride));
+      Rng rng(81);
+      for (int64_t batch : {1, 3}) {
+        Tensor x = Tensor::Randn({batch, 3, 9, 11}, &rng);
+        ExpectMatchesOracle(conv.get(), x,
+                            "out=" + std::to_string(out) +
+                                " stride=" + std::to_string(stride) +
                                 " batch=" + std::to_string(batch));
       }
     }

@@ -1,8 +1,11 @@
 // Behavioural tests for normalization layers under slicing (paper Sec. 3.2).
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "src/nn/norm.h"
+#include "src/tensor/epilogue.h"
 #include "src/util/rng.h"
 
 namespace ms {
@@ -81,6 +84,82 @@ TEST(GroupNorm, TrainEvalIdentical) {
   Tensor a = gn.Forward(x, true);
   Tensor b = gn.Forward(x, false);
   for (int64_t i = 0; i < a.size(); ++i) EXPECT_FLOAT_EQ(a[i], b[i]);
+}
+
+bool Bitwise(const Tensor& a, const Tensor& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// Backward after an inference Forward is part of GroupNorm's contract
+// (ResNeXt.OutputShapeAndWidthsDivisibleByBranches relies on it): it gives
+// bitwise the same grad_in and parameter gradients as Backward after a
+// training Forward on the same input, with or without a fused activation
+// and fusion. With fusion off the two forwards' outputs are bitwise equal
+// too. (BatchNorm's Backward stays training-only, see its check.)
+TEST(NormContract, GroupNormBackwardAfterInferenceForwardEqualsTraining) {
+  NormOptions opts;
+  opts.channels = 8;
+  opts.groups = 4;
+  GroupNorm gn(opts);
+  {
+    std::vector<ParamRef> params;  // gamma, beta
+    gn.CollectParams(&params);
+    for (int64_t c = 0; c < opts.channels; ++c) {
+      (*params[0].param)[c] = 0.5f + 0.1f * static_cast<float>(c);
+      (*params[1].param)[c] = 0.2f * static_cast<float>(c % 3) - 0.2f;
+    }
+  }
+  const std::vector<std::vector<int64_t>> spatial = {{}, {3, 5}, {1, 1}};
+  int checked = 0;
+  for (const ops::EpiAct act : {ops::EpiAct::kNone, ops::EpiAct::kRelu}) {
+    gn.SetFusedActivation(act);
+    for (const bool fuse : {false, true}) {
+      ops::SetFuseEpilogues(fuse);
+      for (const double r : {0.5, 1.0}) {
+        gn.SetSliceRate(r);
+        for (const int64_t batch : {1, 3}) {
+          for (const auto& hw : spatial) {
+            std::vector<int64_t> shape = {batch, gn.active_channels()};
+            shape.insert(shape.end(), hw.begin(), hw.end());
+            Rng rng(static_cast<uint64_t>(100 + batch + 7 * checked));
+            Tensor x = Tensor::Randn(shape, &rng, 2.0f);
+            Tensor g = Tensor::Randn(shape, &rng);
+
+            std::vector<ParamRef> params;
+            gn.CollectParams(&params);
+            for (ParamRef& pr : params) pr.grad->Zero();
+            Tensor y_inf = gn.Forward(x, /*training=*/false);
+            Tensor gi_inf = gn.Backward(g);
+            std::vector<Tensor> pg_inf;
+            for (ParamRef& pr : params) pg_inf.push_back(*pr.grad);
+
+            for (ParamRef& pr : params) pr.grad->Zero();
+            Tensor y_train = gn.Forward(x, /*training=*/true);
+            Tensor gi_train = gn.Backward(g);
+
+            const std::string what =
+                "act=" + std::to_string(static_cast<int>(act)) +
+                " fuse=" + std::to_string(fuse) + " r=" + std::to_string(r) +
+                " batch=" + std::to_string(batch) +
+                " ndim=" + std::to_string(shape.size());
+            EXPECT_TRUE(Bitwise(gi_inf, gi_train)) << what;
+            for (size_t i = 0; i < params.size(); ++i) {
+              EXPECT_TRUE(Bitwise(pg_inf[i], *params[i].grad))
+                  << what << " " << params[i].name;
+            }
+            if (!fuse || act == ops::EpiAct::kNone) {
+              EXPECT_TRUE(Bitwise(y_inf, y_train)) << what;
+            }
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  ops::SetFuseEpilogues(true);
+  EXPECT_EQ(checked, 2 * 2 * 2 * 2 * 3);
 }
 
 TEST(BatchNorm, TrainingNormalizesBatchStatistics) {

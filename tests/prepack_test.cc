@@ -214,9 +214,12 @@ TEST(PrepackedA, FlavorsAndPrefixesBitwiseEqualGemm) {
 }
 
 // The implicit-GEMM conv entry point equals Im2Col + GemmPrepackedAEx
-// bitwise for channel and out-channel prefixes, strides, pads, thread
-// counts and a fused epilogue, and counts once per call. The padded buffer
-// is exactly geo.floats long, so a read past its tail trips ASan.
+// bitwise for channel and out-channel prefixes, strides 1-3 (phase-split
+// sub-planes), pads, thread counts and a fused epilogue, and counts once
+// per call. The out-channel counts leave every partial last tile of both
+// kernels (rows 1-5 of the 6-row AVX2 tile, 1-3 of the 4-row portable one;
+// 13 adds whole tiles before a 1-row one). The padded buffer is exactly
+// geo.floats long, so a read past its tail trips ASan.
 TEST(PrepackedA, ConvFromPaddedInputEqualsIm2ColGemm) {
   Rng rng(62);
   const int64_t mfull = 80, cfull = 16, kernel = 3;
@@ -228,10 +231,9 @@ TEST(PrepackedA, ConvFromPaddedInputEqualsIm2ColGemm) {
   for (size_t i = 0; i < bias.size(); ++i) bias[i] = 0.01f * i - 0.3f;
   const int64_t h = 20, wd = 17;
   Tensor x = Tensor::Randn({cfull, h, wd}, &rng);
-  for (const int64_t stride : {1, 2}) {
+  for (const int64_t stride : {1, 2, 3}) {
     for (const int64_t pad : {0, 1}) {
-      for (const auto [m, ch] : {std::pair<int64_t, int64_t>{mfull, cfull},
-                                 {7, 5}}) {
+      for (const int64_t ch : {cfull, int64_t{5}}) {
         const ops::PaddedConvInput geo =
             ops::MakePaddedConvInput(ch, h, wd, kernel, stride, pad);
         const int64_t area = geo.oh * geo.ow;
@@ -240,28 +242,30 @@ TEST(PrepackedA, ConvFromPaddedInputEqualsIm2ColGemm) {
         ops::CopyPaddedInterior(geo, x.data(), xp.data());
         std::vector<float> cols(static_cast<size_t>(k * area));
         ops::Im2Col(x.data(), ch, h, wd, kernel, stride, pad, cols.data());
-        for (const bool fused : {false, true}) {
-          ops::Epilogue epi;
-          if (fused) {
-            epi.bias = bias.data();
-            epi.per_row = true;
-            epi.act = ops::EpiAct::kRelu;
-          }
-          std::vector<float> ref(static_cast<size_t>(m * area));
-          ops::GemmPrepackedAEx(m, area, k, pack, false, cols.data(), area,
-                                0.0f, ref.data(), area, epi);
-          for (const int threads : {1, 4}) {
-            ops::SetComputeThreads(threads);
-            std::vector<float> c(static_cast<size_t>(m * area), -1.0f);
-            const uint64_t calls = ops::GetPackStats().prepacked_calls;
-            ops::GemmPrepackedAConv(m, pack, geo, xp.data(), c.data(), epi);
-            EXPECT_EQ(ops::GetPackStats().prepacked_calls, calls + 1);
-            EXPECT_EQ(std::memcmp(c.data(), ref.data(),
-                                  c.size() * sizeof(float)),
-                      0)
-                << "stride=" << stride << " pad=" << pad << " m=" << m
-                << " ch=" << ch << " fused=" << fused
-                << " threads=" << threads;
+        for (const int64_t m : {1, 2, 3, 4, 5, 6, 7, 13, 80}) {
+          for (const bool fused : {false, true}) {
+            ops::Epilogue epi;
+            if (fused) {
+              epi.bias = bias.data();
+              epi.per_row = true;
+              epi.act = ops::EpiAct::kRelu;
+            }
+            std::vector<float> ref(static_cast<size_t>(m * area));
+            ops::GemmPrepackedAEx(m, area, k, pack, false, cols.data(), area,
+                                  0.0f, ref.data(), area, epi);
+            for (const int threads : {1, 4}) {
+              ops::SetComputeThreads(threads);
+              std::vector<float> c(static_cast<size_t>(m * area), -1.0f);
+              const uint64_t calls = ops::GetPackStats().prepacked_calls;
+              ops::GemmPrepackedAConv(m, pack, geo, xp.data(), c.data(), epi);
+              EXPECT_EQ(ops::GetPackStats().prepacked_calls, calls + 1);
+              EXPECT_EQ(std::memcmp(c.data(), ref.data(),
+                                    c.size() * sizeof(float)),
+                        0)
+                  << "stride=" << stride << " pad=" << pad << " m=" << m
+                  << " ch=" << ch << " fused=" << fused
+                  << " threads=" << threads;
+            }
           }
         }
       }

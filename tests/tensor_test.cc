@@ -1,7 +1,11 @@
 // Unit tests for the Tensor container and numeric kernels.
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "src/nn/pooling.h"
 #include "src/tensor/tensor.h"
 #include "src/tensor/tensor_ops.h"
 #include "src/util/rng.h"
@@ -180,6 +184,90 @@ TEST(Pooling, MaxPoolTracksArgmax) {
   ops::MaxPool2dBackward(g, argmax, 1, 4, 1, &gi);
   EXPECT_FLOAT_EQ(gi[1], 2.0f);
   EXPECT_FLOAT_EQ(gi[0], 0.0f);
+}
+
+// Max and argmax of one window by the definition: taps in (ki, kj) order,
+// a strict `>` so the first maximum wins ties and NaN never wins.
+void MaxPoolByDefinition(const float* src, int64_t w, int64_t oi, int64_t oj,
+                         int64_t kernel, int64_t stride, float* best,
+                         int32_t* best_idx) {
+  *best = -std::numeric_limits<float>::infinity();
+  *best_idx = 0;
+  for (int64_t ki = 0; ki < kernel; ++ki) {
+    for (int64_t kj = 0; kj < kernel; ++kj) {
+      const int64_t idx = (oi * stride + ki) * w + (oj * stride + kj);
+      if (src[idx] > *best) {
+        *best = src[idx];
+        *best_idx = static_cast<int32_t>(idx);
+      }
+    }
+  }
+}
+
+// ops::MaxPool2d equals the definition bitwise, argmax included, over
+// strides 1-3, kernels 2-3, ties, NaNs and infinities.
+TEST(Pooling, MaxPoolMatchesDefinitionWithTiesAndNan) {
+  Rng rng(31);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const int64_t kernel : {2, 3}) {
+    for (const int64_t stride : {1, 2, 3}) {
+      const int64_t n = 2, c = 3, h = 11, w = 13;
+      Tensor x = Tensor::Randn({n, c, h, w}, &rng);
+      // Coarse values make ties common; plant NaNs and infinities.
+      for (int64_t i = 0; i < x.size(); ++i) x[i] = std::round(2.0f * x[i]);
+      for (int64_t i = 0; i < x.size(); i += 7) x[i] = nan;
+      for (int64_t i = 3; i < x.size(); i += 29) x[i] = -inf;
+      for (int64_t i = 5; i < x.size(); i += 31) x[i] = inf;
+      for (int64_t i = 0; i < h * w; ++i) x[i] = nan;  // one all-NaN plane
+      const int64_t oh = (h - kernel) / stride + 1;
+      const int64_t ow = (w - kernel) / stride + 1;
+      Tensor y({n, c, oh, ow});
+      std::vector<int32_t> argmax;
+      ops::MaxPool2d(x, n, c, h, w, kernel, stride, &y, &argmax);
+      ASSERT_EQ(static_cast<int64_t>(argmax.size()), y.size());
+      for (int64_t img = 0; img < n * c; ++img) {
+        for (int64_t oi = 0; oi < oh; ++oi) {
+          for (int64_t oj = 0; oj < ow; ++oj) {
+            float best;
+            int32_t best_idx;
+            MaxPoolByDefinition(x.data() + img * h * w, w, oi, oj, kernel,
+                                stride, &best, &best_idx);
+            const int64_t o = (img * oh + oi) * ow + oj;
+            EXPECT_EQ(std::memcmp(&y[o], &best, sizeof(float)), 0)
+                << "kernel=" << kernel << " stride=" << stride << " o=" << o;
+            EXPECT_EQ(argmax[static_cast<size_t>(o)], best_idx)
+                << "kernel=" << kernel << " stride=" << stride << " o=" << o;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The MaxPool2d layer behaves identically at inference and training:
+// bitwise-equal outputs, and Backward after Forward(x, false) equals
+// Backward after Forward(x, true) bitwise.
+TEST(Pooling, MaxPoolBackwardAfterInferenceForwardEqualsTraining) {
+  Rng rng(32);
+  MaxPool2d pool(2, 2);
+  for (const int64_t batch : {1, 3}) {
+    Tensor x = Tensor::Randn({batch, 4, 6, 7}, &rng);
+    for (int64_t i = 0; i < x.size(); ++i) x[i] = std::round(x[i]);  // ties
+    Tensor y_inf = pool.Forward(x, /*training=*/false);
+    Tensor g = Tensor::Randn(y_inf.shape(), &rng);
+    Tensor gi_inf = pool.Backward(g);
+    Tensor y_train = pool.Forward(x, /*training=*/true);
+    Tensor gi_train = pool.Backward(g);
+    ASSERT_EQ(y_inf.shape(), y_train.shape());
+    ASSERT_EQ(gi_inf.shape(), gi_train.shape());
+    EXPECT_EQ(std::memcmp(y_inf.data(), y_train.data(),
+                          static_cast<size_t>(y_inf.size()) * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(gi_inf.data(), gi_train.data(),
+                          static_cast<size_t>(gi_inf.size()) * sizeof(float)),
+              0);
+  }
 }
 
 TEST(Elementwise, AddScaleAxpy) {
